@@ -492,6 +492,7 @@ void TimelineRecorder::write_json(std::ostream& os) const {
 
 const char* loop_source_name(LoopSource source) noexcept {
   switch (source) {
+    case LoopSource::kLoopHead: return "loop-head";
     case LoopSource::kCompletions: return "completions";
     case LoopSource::kFaults: return "faults";
     case LoopSource::kArrivals: return "arrivals";
@@ -522,8 +523,8 @@ double EventLoopProfiler::wall_s(LoopSource source) const noexcept {
 
 double EventLoopProfiler::accounted_wall_s() const noexcept {
   double total = 0.0;
-  for (const LoopSource s : {LoopSource::kCompletions, LoopSource::kFaults,
-                             LoopSource::kArrivals, LoopSource::kRetries,
+  for (const LoopSource s : {LoopSource::kLoopHead, LoopSource::kCompletions,
+                             LoopSource::kFaults, LoopSource::kArrivals, LoopSource::kRetries,
                              LoopSource::kAutoscale, LoopSource::kDispatch}) {
     total += wall_s(s);
   }
@@ -542,6 +543,7 @@ Table EventLoopProfiler::to_table(const std::string& title) const {
                Table::num(n > 0 ? w * 1e9 / static_cast<double>(n) : 0.0, 1),
                in_total ? Table::num(total > 0.0 ? w / total : 0.0, 3) : "-"});
   };
+  row(LoopSource::kLoopHead, true);
   row(LoopSource::kCompletions, true);
   row(LoopSource::kFaults, true);
   row(LoopSource::kArrivals, true);

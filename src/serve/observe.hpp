@@ -358,12 +358,14 @@ class TimelineRecorder final : public Observer {
 // Event-loop profiler
 // ---------------------------------------------------------------------------
 
-// Where event-loop wall time goes.  kDispatch is inclusive of its two
-// sub-sources (kSchedulerPop, kEstimate), reported separately so "the
-// scheduler is the bottleneck" and "the estimate cache is the bottleneck"
-// are directly readable.
+// Where event-loop wall time goes.  kLoopHead counts one event per
+// iteration, so the top-level sources add up to the whole loop.  kDispatch is
+// inclusive of its two sub-sources (kSchedulerPop, kEstimate), reported
+// separately so "the scheduler is the bottleneck" and "the estimate cache is
+// the bottleneck" are directly readable.
 enum class LoopSource : std::uint8_t {
-  kCompletions = 0,  // completion-heap drain
+  kLoopHead = 0,     // next-event selection, deadline query, depth integral
+  kCompletions,      // completion-heap drain
   kFaults,           // fault-process transitions
   kArrivals,         // traffic-source pulls + admission
   kRetries,          // retry-heap re-issues

@@ -6,9 +6,25 @@
 //   * dynamic batching — per-(workload, seq-bucket) buckets (a batch must
 //     share one model AND one sampled sequence-length bucket to pipeline
 //     through stationary weights); a bucket dispatches when it reaches
-//     `max_batch` or when its oldest request has waited `max_wait_s`,
+//     `max_batch` or when its head request has waited `max_wait_s`,
 //     whichever comes first.  Fixed-length entries put everything in the
 //     seq-0 bucket, reproducing the pre-seqlen per-workload buckets exactly.
+//
+// Cost per operation, W = workloads, B = buckets of one workload.  FIFO keeps
+// one sub-queue per workload: ready and pop cost O(W), enqueue and each
+// joiner O(1).  Dynamic batching indexes each workload's buckets in two
+// min-heaps ordered by (head arrival, seq bucket), one of the non-empty
+// buckets and one of the full ones.  ready, next_deadline_s and pop read two
+// heap tops per workload, O(W), and re-filing the popped bucket costs
+// O(log B); enqueue is a map lookup plus an O(log B) heap push.  The heaps
+// stop allocating once every bucket exists.  Head-top invariant: a
+// bucket's deadline is its head's arrival + max_wait, monotone in that
+// arrival, so a workload has a deadline-ready bucket exactly when its oldest
+// head is past its deadline; otherwise only its full buckets are ready, and
+// the oldest of those pops.  The head is the earliest-enqueued request left
+// in the bucket, so a requeued older request behind a younger head does not
+// move the deadline.
+//
 // Mixed-kind fleets pass a `WorkloadMask` restricting what can dispatch right
 // now (kind-aware routing: a GNN batch only goes to an idle GHOST-family
 // accelerator); the default mask allows every workload, and with it the

@@ -1023,6 +1023,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   double last_arrival_s = 0.0;
   double now_s = 0.0;
   while (terminal < total_requests) {
+    const auto t_head = prof_now();
     const double t_arr = source->next_arrival_time();
     const double t_retry = retry_heap.next_time_s();
     const double t_done = heap.next_time_s();
@@ -1046,6 +1047,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       }
     }
     now_s = t;
+    if (prof) prof->record(LoopSource::kLoopHead, t_head, 1);
 
     const auto t_completions = prof_now();
     std::uint64_t completion_events = 0;

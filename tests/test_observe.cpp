@@ -338,11 +338,16 @@ TEST(Observe, ProfilerEventCountsMatchTheRun) {
   EXPECT_GT(prof.events(LoopSource::kSchedulerPop), 0u);
   EXPECT_GT(prof.events(LoopSource::kEstimate), 0u);
   EXPECT_GT(prof.iterations(), 0u);
+  // The loop head runs once per iteration, so the rows cover the whole loop;
+  // Poisson arrival instants are distinct, so each takes its own iteration.
+  EXPECT_EQ(prof.events(LoopSource::kLoopHead), prof.iterations());
+  EXPECT_GE(prof.iterations(), scenario.traffic.open.request_count);
   EXPECT_GE(prof.accounted_wall_s(), 0.0);
 
   std::ostringstream table;
   prof.to_table("event-loop profile").print(table);
   EXPECT_NE(table.str().find("scheduler-pop"), std::string::npos);
+  EXPECT_NE(table.str().find("loop-head"), std::string::npos);
   EXPECT_NE(table.str().find("loop total"), std::string::npos);
 }
 

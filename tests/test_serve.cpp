@@ -5,15 +5,20 @@
 // same point).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 
 #include "arch/registry.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "perf_report_matchers.hpp"
 #include "serve/campaign.hpp"
+#include "serve/event.hpp"
 #include "serve/simulator.hpp"
 #include "sim/registry.hpp"
 
@@ -224,8 +229,15 @@ TEST(GhostBatch, LatencySubLinearAndEnergyAmortised) {
 // Schedulers
 // ---------------------------------------------------------------------------
 
-Request make_request(std::uint64_t id, double arrival_s, std::uint32_t workload) {
-  return {id, arrival_s, workload};
+Request make_request(std::uint64_t id, double arrival_s, std::uint32_t workload,
+                     std::uint32_t seq_len = 0) {
+  return {id, arrival_s, workload, seq_len};
+}
+
+std::vector<std::uint64_t> ids_of(const std::vector<Request>& batch) {
+  std::vector<std::uint64_t> ids;
+  for (const Request& r : batch) ids.push_back(r.id);
+  return ids;
 }
 
 TEST(Scheduler, FifoServesInArrivalOrder) {
@@ -308,6 +320,246 @@ TEST(Scheduler, DynamicBatchServesLongestWaitingBucketFirst) {
   const std::vector<Request> first = sched->pop(0.3);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].workload, 9u);  // oldest head-of-bucket wins
+}
+
+TEST(Scheduler, DynamicBatchEqualHeadsPopInWorkloadThenSeqOrder) {
+  BatchPolicy policy;
+  policy.max_batch = 8;
+  policy.max_wait_s = 0.0;
+  const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy);
+  // Four buckets whose heads all arrived at t = 1, enqueued out of key order.
+  sched->enqueue(make_request(0, 1.0, 1, 32), 1.0);
+  sched->enqueue(make_request(1, 1.0, 0, 128), 1.0);
+  sched->enqueue(make_request(2, 1.0, 1, 0), 1.0);
+  sched->enqueue(make_request(3, 1.0, 0, 64), 1.0);
+  std::vector<std::uint64_t> order;
+  while (sched->ready(1.0)) order.push_back(sched->pop(1.0).front().id);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{3, 1, 2, 0}));
+}
+
+TEST(Scheduler, DynamicBatchOverfullBucketStaysReadyAfterPop) {
+  BatchPolicy policy;
+  policy.max_batch = 2;
+  policy.max_wait_s = 1.0;
+  const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy);
+  for (std::uint64_t i = 0; i < 5; ++i) sched->enqueue(make_request(i, 0.1 * i, 4), 0.1 * i);
+  EXPECT_EQ(ids_of(sched->pop(0.5)), (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_TRUE(sched->ready(0.5));  // three left: still a full batch
+  EXPECT_EQ(ids_of(sched->pop(0.5)), (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_FALSE(sched->ready(0.5));  // one left, younger than max_wait
+  EXPECT_EQ(sched->next_deadline_s(), 0.1 * 4 + 1.0);
+}
+
+TEST(Scheduler, DynamicBatchOlderDeadlineBucketBeatsYoungFullBucket) {
+  BatchPolicy policy;
+  policy.max_batch = 2;
+  policy.max_wait_s = 0.5;
+  for (const std::uint32_t young_workload : {0u, 1u}) {
+    const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy);
+    sched->enqueue(make_request(0, 0.0, 0, 64), 0.0);  // deadline 0.5
+    sched->enqueue(make_request(1, 0.4, young_workload, 128), 0.4);
+    sched->enqueue(make_request(2, 0.4, young_workload, 128), 0.4);  // full
+    // Before the old bucket's deadline only the full one is ready ...
+    EXPECT_EQ(ids_of(sched->pop(0.45)), (std::vector<std::uint64_t>{1, 2}));
+    sched->enqueue(make_request(3, 0.45, young_workload, 128), 0.45);
+    sched->enqueue(make_request(4, 0.45, young_workload, 128), 0.45);
+    // ... after it, the older head wins over the full bucket.
+    EXPECT_EQ(ids_of(sched->pop(0.6)), (std::vector<std::uint64_t>{0}));
+    EXPECT_EQ(ids_of(sched->pop(0.6)), (std::vector<std::uint64_t>{3, 4}));
+  }
+}
+
+TEST(Scheduler, DynamicBatchRequeuedOlderRequestKeepsHeadDeadline) {
+  // A requeue re-enters with its original (older) arrival behind a younger
+  // head; the head, not the oldest request, sets the bucket's deadline.
+  BatchPolicy policy;
+  policy.max_batch = 8;
+  policy.max_wait_s = 0.5;
+  const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy);
+  sched->enqueue(make_request(0, 1.0, 2), 1.0);
+  sched->enqueue(make_request(1, 0.2, 2), 1.1);
+  sched->enqueue(make_request(2, 0.9, 2, 64), 1.1);
+  EXPECT_EQ(sched->next_deadline_s(), 0.9 + 0.5);
+  EXPECT_FALSE(sched->ready(1.2));
+  // Taking the seq-0 head exposes the older request: now the deadline moves.
+  std::vector<Request> joiners;
+  ASSERT_EQ(sched->pop_joiners(2, 2, 1.2, joiners), 2u);
+  EXPECT_EQ(ids_of(joiners), (std::vector<std::uint64_t>{2, 0}));
+  EXPECT_EQ(sched->next_deadline_s(), 0.2 + 0.5);
+  EXPECT_EQ(ids_of(sched->pop(1.2)), (std::vector<std::uint64_t>{1}));
+}
+
+// The dynamic batcher as it was before its per-workload heaps: every query
+// walks every bucket.  Kept as the oracle the indexed scheduler must match.
+class LinearScanBatcher final : public Scheduler {
+ public:
+  LinearScanBatcher(const BatchPolicy& policy, std::vector<std::uint32_t> tiers)
+      : policy_(policy), tiers_(std::move(tiers)) {}
+
+  void enqueue(const Request& request, double) override {
+    buckets_[(static_cast<std::uint64_t>(request.workload) << 32) | request.seq_len].push_back(
+        request);
+    ++queued_;
+  }
+
+  [[nodiscard]] std::size_t queued() const noexcept override { return queued_; }
+
+  [[nodiscard]] bool ready(double now_s, const WorkloadMask& mask) const noexcept override {
+    for (const auto& [key, bucket] : buckets_) {
+      if (!bucket.empty() && mask.allows(workload_of(key)) && is_ready(bucket, now_s)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  [[nodiscard]] double next_deadline_s(const WorkloadMask& mask) const noexcept override {
+    double deadline = kNever;
+    for (const auto& [key, bucket] : buckets_) {
+      if (bucket.empty() || !mask.allows(workload_of(key))) continue;
+      deadline = std::min(deadline, bucket.front().arrival_s + policy_.max_wait_s);
+    }
+    return deadline;
+  }
+
+  void pop(double now_s, const WorkloadMask& mask, std::vector<Request>& out) override {
+    out.clear();
+    auto best = buckets_.end();
+    for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
+      if (it->second.empty() || !mask.allows(workload_of(it->first)) ||
+          !is_ready(it->second, now_s)) {
+        continue;
+      }
+      if (best == buckets_.end()) {
+        best = it;
+        continue;
+      }
+      const std::uint32_t tier = tier_of(workload_of(it->first));
+      const std::uint32_t best_tier = tier_of(workload_of(best->first));
+      if (tier < best_tier || (tier == best_tier && it->second.front().arrival_s <
+                                                        best->second.front().arrival_s)) {
+        best = it;
+      }
+    }
+    if (best == buckets_.end()) return;
+    const std::size_t take = std::min(policy_.max_batch, best->second.size());
+    for (std::size_t i = 0; i < take; ++i) {
+      out.push_back(best->second.front());
+      best->second.pop_front();
+    }
+    queued_ -= take;
+  }
+
+  std::size_t pop_joiners(std::uint32_t workload, std::size_t max_n, double,
+                          std::vector<Request>& out) override {
+    const std::uint64_t lo = static_cast<std::uint64_t>(workload) << 32;
+    const std::uint64_t hi = (static_cast<std::uint64_t>(workload) + 1) << 32;
+    std::size_t taken = 0;
+    while (taken < max_n) {
+      auto best = buckets_.end();
+      for (auto it = buckets_.lower_bound(lo); it != buckets_.end() && it->first < hi; ++it) {
+        if (!it->second.empty() && (best == buckets_.end() || it->second.front().arrival_s <
+                                                                  best->second.front().arrival_s)) {
+          best = it;
+        }
+      }
+      if (best == buckets_.end()) break;
+      out.push_back(best->second.front());
+      best->second.pop_front();
+      --queued_;
+      ++taken;
+    }
+    return taken;
+  }
+
+ private:
+  [[nodiscard]] static std::uint32_t workload_of(std::uint64_t key) noexcept {
+    return static_cast<std::uint32_t>(key >> 32);
+  }
+  [[nodiscard]] std::uint32_t tier_of(std::uint32_t workload) const noexcept {
+    return workload < tiers_.size() ? tiers_[workload] : 0;
+  }
+  [[nodiscard]] bool is_ready(const std::deque<Request>& bucket, double now_s) const noexcept {
+    return bucket.size() >= policy_.max_batch ||
+           bucket.front().arrival_s + policy_.max_wait_s <= now_s;
+  }
+
+  BatchPolicy policy_;
+  std::vector<std::uint32_t> tiers_;
+  std::map<std::uint64_t, std::deque<Request>> buckets_;
+  std::size_t queued_ = 0;
+};
+
+TEST(Scheduler, DynamicBatchMatchesLinearScanOracle) {
+  // Seeded random op streams.  Every instant lies on one grid, so equal head
+  // arrivals and deadlines landing exactly on `now` are common; a quarter of
+  // the enqueues carry an older arrival, as requeues and retries do.
+  constexpr double kTick = 0.25e-3;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    BatchPolicy policy;
+    policy.max_batch = 1 + rng.next_below(6);
+    policy.max_wait_s = kTick * rng.next_below(8);
+    const std::uint32_t workloads = 1 + rng.next_below(5);
+    std::vector<std::uint32_t> tiers(rng.next_below(workloads + 1));
+    for (std::uint32_t& tier : tiers) tier = rng.next_below(3);
+    const auto indexed = make_scheduler(SchedulerKind::kDynamicBatch, policy, tiers);
+    LinearScanBatcher oracle(policy, tiers);
+
+    std::vector<char> allowed;
+    double now_s = 0.0;
+    std::uint64_t next_id = 0;
+    std::vector<Request> got;
+    std::vector<Request> want;
+    for (int op = 0; op < 2000; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      WorkloadMask mask;
+      if (rng.next_below(3) == 0) {
+        // May be shorter than the workload count: the rest is disallowed.
+        allowed.resize(rng.next_below(workloads + 1));
+        for (char& a : allowed) a = static_cast<char>(rng.next_below(2));
+        mask = WorkloadMask(&allowed);
+      }
+      switch (rng.next_below(8)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3: {
+          const double arrival_s =
+              rng.next_below(4) == 0 ? now_s - kTick * rng.next_below(12) : now_s;
+          const Request r =
+              make_request(next_id++, arrival_s, rng.next_below(workloads), 64 * rng.next_below(4));
+          indexed->enqueue(r, now_s);
+          oracle.enqueue(r, now_s);
+          break;
+        }
+        case 4:
+          now_s += kTick * rng.next_below(4);
+          break;
+        case 5:
+          ASSERT_EQ(indexed->ready(now_s, mask), oracle.ready(now_s, mask));
+          ASSERT_EQ(indexed->next_deadline_s(mask), oracle.next_deadline_s(mask));
+          break;
+        case 6:
+          indexed->pop(now_s, mask, got);
+          oracle.pop(now_s, mask, want);
+          ASSERT_EQ(ids_of(got), ids_of(want));
+          break;
+        default: {
+          // Workload ids past the catalog join nothing.
+          const std::uint32_t w = rng.next_below(workloads + 1);
+          const std::size_t max_n = rng.next_below(5);
+          got.clear();
+          want.clear();
+          ASSERT_EQ(indexed->pop_joiners(w, max_n, now_s, got),
+                    oracle.pop_joiners(w, max_n, now_s, want));
+          ASSERT_EQ(ids_of(got), ids_of(want));
+        }
+      }
+      ASSERT_EQ(indexed->queued(), oracle.queued());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
