@@ -565,11 +565,10 @@ HybridFleetResult run_hybrid_fleet_scenario(bool smoke) {
 }
 
 // Event-queue micro-benchmark: the classic hold model (prefill H events, then
-// N rounds of pop-min + push at popped time + exponential increment) over the
-// three containers a simulation could schedule with.  All three pop the same
-// total order (EventHeap/CalendarQueue by contract, std::priority_queue by
-// construction), so the popped-time checksums must match exactly — the bench
-// aborts if they do not.  ops_per_s is gated in the timing band.
+// N rounds of pop-min + push at popped time + exponential increment) over
+// EventHeap and std::priority_queue.  Both pop the same total order, so the
+// popped-time checksums must match exactly — the bench aborts if they do not.
+// ops_per_s is gated in the timing band.
 struct QueueBenchResult {
   std::string label;
   std::size_t events = 0;
@@ -634,12 +633,6 @@ std::vector<QueueBenchResult> run_event_queue_bench(bool smoke) {
   time_variant("event_heap", [&] {
     serve::EventHeap<BenchEvent, BenchEventLater> q;
     q.reserve(hold + 1);
-    return hold_model(hold, rounds, [&](BenchEvent e) { q.push(e); },
-                      [&] { return q.pop(); });
-  });
-  time_variant("calendar_queue", [&] {
-    // Bucket width ~ the mean inter-event gap: about one event per day.
-    serve::CalendarQueue<BenchEvent, BenchEventLater> q(1e-4, 1024);
     return hold_model(hold, rounds, [&](BenchEvent e) { q.push(e); },
                       [&] { return q.pop(); });
   });

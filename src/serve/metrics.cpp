@@ -8,13 +8,60 @@
 
 namespace lumos::serve {
 
-double percentile(std::vector<double>& samples, double q) {
+namespace {
+
+// Nearest-rank percentile of an already sorted vector.
+double sorted_percentile(const std::vector<double>& sorted, double q) {
   LUMOS_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = std::ceil(q * static_cast<double>(samples.size()));
+  if (sorted.empty()) return 0.0;
+  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
   const std::size_t index = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  return samples[std::min(index, samples.size() - 1)];
+  return sorted[std::min(index, sorted.size() - 1)];
+}
+
+// Mean, max and p50/p95/p99 of one sample vector; all zero when it is empty.
+// The sum runs in the vector's order, then the vector is sorted in place.
+struct SampleStats {
+  double mean = 0.0;
+  double max = 0.0;
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+};
+
+SampleStats sample_stats(std::vector<double>& samples) {
+  SampleStats s;
+  if (samples.empty()) return s;
+  double sum = 0.0;
+  for (const double v : samples) {
+    sum += v;
+    s.max = std::max(s.max, v);
+  }
+  s.mean = sum / static_cast<double>(samples.size());
+  std::sort(samples.begin(), samples.end());
+  s.p50 = sorted_percentile(samples, 0.50);
+  s.p95 = sorted_percentile(samples, 0.95);
+  s.p99 = sorted_percentile(samples, 0.99);
+  return s;
+}
+
+// `num / den`, or `empty` when nothing was counted.
+double ratio(std::size_t num, std::size_t den, double empty) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : empty;
+}
+
+// Count-weighted recombination of two per-run averages (exact for true
+// means).  Commutative: a*wa + b*wb adds bit-identically either way.
+double weighted(double a, double wa, double b, double wb) {
+  const double w = wa + wb;
+  return w > 0.0 ? (a * wa + b * wb) / w : 0.0;
+}
+
+}  // namespace
+
+double percentile(std::vector<double>& samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  return sorted_percentile(samples, q);
 }
 
 double FleetMetrics::estimate_hit_rate() const noexcept {
@@ -23,101 +70,88 @@ double FleetMetrics::estimate_hit_rate() const noexcept {
          static_cast<double>(estimate_lookups);
 }
 
-namespace {
+void FleetMetrics::finalize() {
+  const double horizon_s = std::max(duration_s, 1e-300);
+  throughput_qps = static_cast<double>(completed) / horizon_s;
+  goodput_qps = static_cast<double>(within_slo) / horizon_s;
+  slo_attainment = ratio(within_slo, completed, 0.0);
+  drop_rate = ratio(shed_requests + timed_out_requests,
+                    completed + shed_requests + timed_out_requests, 0.0);
+  mean_batch_size = static_cast<double>(completed) /
+                    static_cast<double>(std::max<std::size_t>(dispatches, 1));
+  energy_per_request_j =
+      completed > 0 ? fleet_energy_j / static_cast<double>(completed) : 0.0;
+  cost_per_request_usd =
+      completed > 0 ? fleet_cost_usd / static_cast<double>(completed) : 0.0;
+  tokens_per_s = static_cast<double>(generated_tokens) / horizon_s;
+  ttft_attainment = ratio(within_ttft_slo, ttft_slo_requests, 1.0);
+  tpot_attainment = ratio(within_tpot_slo, tpot_slo_requests, 1.0);
+  std::size_t steps = 0;
+  std::size_t lane_steps = 0;
+  for (std::size_t lanes = 0; lanes < decode_occupancy.size(); ++lanes) {
+    steps += decode_occupancy[lanes];
+    lane_steps += lanes * decode_occupancy[lanes];
+  }
+  mean_decode_occupancy = ratio(lane_steps, steps, 0.0);
 
-// Recomputes every percentile field of `m` from its retained latency state —
-// the same per-tenant-then-aggregate shape simulate() uses, so a merged
-// result carries the percentiles a single simulation over the union multiset
-// would have produced.
-void percentiles_from_state(FleetMetrics& m) {
-  LatencyState& st = *m.latency_state;
-  if (st.hdr) {
-    for (std::size_t w = 0; w < m.tenants.size(); ++w) {
-      if (st.tenant_hist[w].count() == 0) continue;
-      m.tenants[w].p50_latency_s = st.tenant_hist[w].percentile(0.50);
-      m.tenants[w].p99_latency_s = st.tenant_hist[w].percentile(0.99);
+  // Per tenant, then the aggregate over the union of the tenants' samples.
+  LatencyState& st = *latency_state;
+  for (std::size_t w = 0; w < tenants.size(); ++w) {
+    TenantMetrics& t = tenants[w];
+    t.drop_rate = ratio(t.shed + t.timed_out, t.completed + t.shed + t.timed_out, 0.0);
+    t.slo_attainment = ratio(t.within_slo, t.completed, 0.0);
+    t.goodput_qps = static_cast<double>(t.within_slo) / horizon_s;
+    if (t.completed == 0) continue;
+    if (st.hdr) {
+      t.p50_latency_s = st.tenant_hist[w].percentile(0.50);
+      t.p99_latency_s = st.tenant_hist[w].percentile(0.99);
+    } else {
+      std::vector<double>& samples = st.tenant_samples[w];
+      std::sort(samples.begin(), samples.end());
+      t.p50_latency_s = sorted_percentile(samples, 0.50);
+      t.p99_latency_s = sorted_percentile(samples, 0.99);
     }
+  }
+  if (st.hdr) {
+    // Merging the tenants' sketches is exact (bucket counts add), so the
+    // fleet percentiles see the same multiset the exact path sorts.
     HdrHistogram all(st.hdr_relative_error);
     for (const HdrHistogram& h : st.tenant_hist) all.merge(h);
-    if (all.count() > 0) {
-      m.p50_latency_s = all.percentile(0.50);
-      m.p95_latency_s = all.percentile(0.95);
-      m.p99_latency_s = all.percentile(0.99);
-      m.p999_latency_s = all.percentile(0.999);
-    }
+    p50_latency_s = all.percentile(0.50);
+    p95_latency_s = all.percentile(0.95);
+    p99_latency_s = all.percentile(0.99);
+    p999_latency_s = all.percentile(0.999);
   } else {
-    std::size_t total = 0;
-    for (std::size_t w = 0; w < m.tenants.size(); ++w) {
-      std::vector<double>& samples = st.tenant_samples[w];
-      total += samples.size();
-      if (samples.empty()) continue;
-      m.tenants[w].p50_latency_s = percentile(samples, 0.50);
-      m.tenants[w].p99_latency_s = percentile(samples, 0.99);
-    }
     std::vector<double> all;
-    all.reserve(total);
+    all.reserve(completed);
     for (const std::vector<double>& samples : st.tenant_samples) {
       all.insert(all.end(), samples.begin(), samples.end());
     }
-    if (!all.empty()) {
-      m.p50_latency_s = percentile(all, 0.50);
-      m.p95_latency_s = percentile(all, 0.95);
-      m.p99_latency_s = percentile(all, 0.99);
-      m.p999_latency_s = percentile(all, 0.999);
-    }
+    std::sort(all.begin(), all.end());
+    p50_latency_s = sorted_percentile(all, 0.50);
+    p95_latency_s = sorted_percentile(all, 0.95);
+    p99_latency_s = sorted_percentile(all, 0.99);
+    p999_latency_s = sorted_percentile(all, 0.999);
   }
-  if (!st.session_samples.empty()) {
-    double sum = 0.0;
-    double max = 0.0;
-    for (const double v : st.session_samples) {
-      sum += v;
-      max = std::max(max, v);
-    }
-    m.mean_session_s = sum / static_cast<double>(st.session_samples.size());
-    m.max_session_s = max;
-    m.p50_session_s = percentile(st.session_samples, 0.50);
-    m.p99_session_s = percentile(st.session_samples, 0.99);
-  }
-  // Decode phase latencies are always sample-exact (see LatencyState), so the
-  // merged TTFT/TPOT statistics are true union percentiles, not a weighted
-  // approximation.
-  if (!st.ttft_samples.empty()) {
-    double sum = 0.0;
-    double max = 0.0;
-    for (const double v : st.ttft_samples) {
-      sum += v;
-      max = std::max(max, v);
-    }
-    m.mean_ttft_s = sum / static_cast<double>(st.ttft_samples.size());
-    m.max_ttft_s = max;
-    m.p50_ttft_s = percentile(st.ttft_samples, 0.50);
-    m.p95_ttft_s = percentile(st.ttft_samples, 0.95);
-    m.p99_ttft_s = percentile(st.ttft_samples, 0.99);
-  }
-  if (!st.tpot_samples.empty()) {
-    double sum = 0.0;
-    double max = 0.0;
-    for (const double v : st.tpot_samples) {
-      sum += v;
-      max = std::max(max, v);
-    }
-    m.mean_tpot_s = sum / static_cast<double>(st.tpot_samples.size());
-    m.max_tpot_s = max;
-    m.p50_tpot_s = percentile(st.tpot_samples, 0.50);
-    m.p95_tpot_s = percentile(st.tpot_samples, 0.95);
-    m.p99_tpot_s = percentile(st.tpot_samples, 0.99);
-  }
-}
 
-// Count-weighted recombination of two per-run averages (the labelled
-// approximation for percentiles when no raw state is retained; exact for
-// true means).  Commutative: a*wa + b*wb adds bit-identically either way.
-double weighted(double a, double wa, double b, double wb) {
-  const double w = wa + wb;
-  return w > 0.0 ? (a * wa + b * wb) / w : 0.0;
+  const SampleStats session = sample_stats(st.session_samples);
+  mean_session_s = session.mean;
+  max_session_s = session.max;
+  p50_session_s = session.p50;
+  p99_session_s = session.p99;
+  const SampleStats ttft = sample_stats(st.ttft_samples);
+  mean_ttft_s = ttft.mean;
+  max_ttft_s = ttft.max;
+  p50_ttft_s = ttft.p50;
+  p95_ttft_s = ttft.p95;
+  p99_ttft_s = ttft.p99;
+  const SampleStats tpot = sample_stats(st.tpot_samples);
+  mean_tpot_s = tpot.mean;
+  max_tpot_s = tpot.max;
+  p50_tpot_s = tpot.p50;
+  p95_tpot_s = tpot.p95;
+  p99_tpot_s = tpot.p99;
 }
-
-}  // namespace
 
 void FleetMetrics::merge(const FleetMetrics& other) {
   if (tenants.size() != other.tenants.size()) {
@@ -125,6 +159,14 @@ void FleetMetrics::merge(const FleetMetrics& other) {
                           std::to_string(tenants.size()) + " vs " +
                           std::to_string(other.tenants.size()) +
                           "): both sides must describe the same catalog");
+  }
+  if (latency_state == nullptr || other.latency_state == nullptr) {
+    throw InvalidArgument(
+        "FleetMetrics::merge: both sides must retain latency state "
+        "(SimConfig.keep_latency_state)");
+  }
+  if (latency_state->hdr != other.latency_state->hdr) {
+    throw InvalidArgument("FleetMetrics::merge: latency states mix exact and hdr modes");
   }
 
   // Horizon primitives of both sides, read before anything is overwritten.
@@ -138,61 +180,37 @@ void FleetMetrics::merge(const FleetMetrics& other) {
   const double depth_time = mean_queue_depth * dur_a + other.mean_queue_depth * dur_b;
   const double latency_sum = mean_latency_s * static_cast<double>(completed) +
                              other.mean_latency_s * static_cast<double>(other.completed);
-  const double na = static_cast<double>(completed);
-  const double nb = static_cast<double>(other.completed);
-  const double sess_a = static_cast<double>(sessions);
-  const double sess_b = static_cast<double>(other.sessions);
-  const double dec_a = static_cast<double>(decode_requests);
-  const double dec_b = static_cast<double>(other.decode_requests);
 
-  // Latency state: merged exactly when both sides retained the same mode.
-  const bool exact_state = latency_state != nullptr && other.latency_state != nullptr;
-  if (exact_state) {
-    if (latency_state->hdr != other.latency_state->hdr) {
-      throw InvalidArgument(
-          "FleetMetrics::merge: latency states mix exact and hdr modes");
-    }
-    // Copy-on-write: a shared state (metrics copied with its pointer) must
-    // not be mutated behind the copy's back.
-    if (latency_state.use_count() > 1) {
-      latency_state = std::make_shared<LatencyState>(*latency_state);
-    }
-    LatencyState& st = *latency_state;
-    const LatencyState& ot = *other.latency_state;
-    if (st.hdr) {
-      for (std::size_t w = 0; w < st.tenant_hist.size(); ++w) {
-        st.tenant_hist[w].merge(ot.tenant_hist[w]);  // throws on eps mismatch
-      }
-    } else {
-      for (std::size_t w = 0; w < st.tenant_samples.size(); ++w) {
-        st.tenant_samples[w].insert(st.tenant_samples[w].end(),
-                                    ot.tenant_samples[w].begin(),
-                                    ot.tenant_samples[w].end());
-      }
-    }
-    st.session_samples.insert(st.session_samples.end(), ot.session_samples.begin(),
-                              ot.session_samples.end());
-    st.ttft_samples.insert(st.ttft_samples.end(), ot.ttft_samples.begin(),
-                           ot.ttft_samples.end());
-    st.tpot_samples.insert(st.tpot_samples.end(), ot.tpot_samples.begin(),
-                           ot.tpot_samples.end());
-  } else {
-    // One side (or both) discarded its samples: percentiles degrade to the
-    // documented weighted approximation below, and no state survives.
-    latency_state.reset();
+  // Copy-on-write: a shared state (metrics copied with its pointer) must not
+  // be mutated behind the copy's back.
+  if (latency_state.use_count() > 1) {
+    latency_state = std::make_shared<LatencyState>(*latency_state);
   }
+  LatencyState& st = *latency_state;
+  const LatencyState& ot = *other.latency_state;
+  if (st.hdr) {
+    for (std::size_t w = 0; w < st.tenant_hist.size(); ++w) {
+      st.tenant_hist[w].merge(ot.tenant_hist[w]);  // throws on eps mismatch
+    }
+  } else {
+    for (std::size_t w = 0; w < st.tenant_samples.size(); ++w) {
+      st.tenant_samples[w].insert(st.tenant_samples[w].end(),
+                                  ot.tenant_samples[w].begin(),
+                                  ot.tenant_samples[w].end());
+    }
+  }
+  st.session_samples.insert(st.session_samples.end(), ot.session_samples.begin(),
+                            ot.session_samples.end());
+  st.ttft_samples.insert(st.ttft_samples.end(), ot.ttft_samples.begin(),
+                         ot.ttft_samples.end());
+  st.tpot_samples.insert(st.tpot_samples.end(), ot.tpot_samples.begin(),
+                         ot.tpot_samples.end());
 
-  // Per-tenant: counters add; rates recompute from the merged counters.
   for (std::size_t w = 0; w < tenants.size(); ++w) {
     TenantMetrics& t = tenants[w];
     const TenantMetrics& o = other.tenants[w];
-    const double ta = static_cast<double>(t.completed);
-    const double tb = static_cast<double>(o.completed);
-    t.mean_latency_s = weighted(t.mean_latency_s, ta, o.mean_latency_s, tb);
-    if (!exact_state) {
-      t.p50_latency_s = weighted(t.p50_latency_s, ta, o.p50_latency_s, tb);
-      t.p99_latency_s = weighted(t.p99_latency_s, ta, o.p99_latency_s, tb);
-    }
+    t.mean_latency_s = weighted(t.mean_latency_s, static_cast<double>(t.completed),
+                                o.mean_latency_s, static_cast<double>(o.completed));
     t.completed += o.completed;
     t.within_slo += o.within_slo;
     t.shed += o.shed;
@@ -200,15 +218,6 @@ void FleetMetrics::merge(const FleetMetrics& other) {
     t.cost_usd += o.cost_usd;  // disjoint completions: dollars add exactly
     t.max_latency_s = std::max(t.max_latency_s, o.max_latency_s);
     t.slo_latency_s = std::max(t.slo_latency_s, o.slo_latency_s);
-    const std::size_t issued = t.completed + t.shed + t.timed_out;
-    t.drop_rate = issued > 0 ? static_cast<double>(t.shed + t.timed_out) /
-                                   static_cast<double>(issued)
-                             : 0.0;
-    t.slo_attainment = t.completed > 0 ? static_cast<double>(t.within_slo) /
-                                             static_cast<double>(t.completed)
-                                       : 0.0;
-    t.goodput_qps =
-        static_cast<double>(t.within_slo) / std::max(merged_dur, 1e-300);
   }
 
   // Merge-exact counters and maxima.
@@ -264,24 +273,9 @@ void FleetMetrics::merge(const FleetMetrics& other) {
   // recombine over their own horizons.
   offered_qps += other.offered_qps;
   duration_s = merged_dur;
-  throughput_qps = static_cast<double>(completed) / std::max(merged_dur, 1e-300);
-  goodput_qps = static_cast<double>(within_slo) / std::max(merged_dur, 1e-300);
-  slo_attainment = completed > 0 ? static_cast<double>(within_slo) /
-                                       static_cast<double>(completed)
-                                 : 0.0;
   mean_latency_s =
       completed > 0 ? latency_sum / static_cast<double>(completed) : 0.0;
-  const std::size_t issued = completed + shed_requests + timed_out_requests;
-  drop_rate = issued > 0 ? static_cast<double>(shed_requests + timed_out_requests) /
-                               static_cast<double>(issued)
-                         : 0.0;
   mean_queue_depth = depth_time / std::max(merged_dur, 1e-300);
-  mean_batch_size = static_cast<double>(completed) /
-                    static_cast<double>(std::max<std::size_t>(dispatches, 1));
-  energy_per_request_j =
-      completed > 0 ? fleet_energy_j / static_cast<double>(completed) : 0.0;
-  cost_per_request_usd =
-      completed > 0 ? fleet_cost_usd / static_cast<double>(completed) : 0.0;
   const double slot_time = slot_time_a + slot_time_b;
   mean_fleet_size = slot_time / std::max(merged_dur, 1e-300);
   fleet_utilization = busy / std::max(slot_time, 1e-300);
@@ -292,48 +286,7 @@ void FleetMetrics::merge(const FleetMetrics& other) {
   observed_mttr_s =
       weighted(observed_mttr_s, static_cast<double>(slot_recoveries - other.slot_recoveries),
                other.observed_mttr_s, static_cast<double>(other.slot_recoveries));
-  tokens_per_s = static_cast<double>(generated_tokens) / std::max(merged_dur, 1e-300);
-  ttft_attainment = ttft_slo_requests > 0 ? static_cast<double>(within_ttft_slo) /
-                                                static_cast<double>(ttft_slo_requests)
-                                          : 1.0;
-  tpot_attainment = tpot_slo_requests > 0 ? static_cast<double>(within_tpot_slo) /
-                                                static_cast<double>(tpot_slo_requests)
-                                          : 1.0;
-  {
-    // Mean occupancy recomputes exactly from the merged histogram.
-    std::size_t steps = 0;
-    std::size_t lane_steps = 0;
-    for (std::size_t lanes = 0; lanes < decode_occupancy.size(); ++lanes) {
-      steps += decode_occupancy[lanes];
-      lane_steps += lanes * decode_occupancy[lanes];
-    }
-    mean_decode_occupancy =
-        steps > 0 ? static_cast<double>(lane_steps) / static_cast<double>(steps) : 0.0;
-  }
-
-  // Percentiles: exact from the merged state, else the weighted fallback.
-  if (exact_state) {
-    percentiles_from_state(*this);
-  } else {
-    p50_latency_s = weighted(p50_latency_s, na, other.p50_latency_s, nb);
-    p95_latency_s = weighted(p95_latency_s, na, other.p95_latency_s, nb);
-    p99_latency_s = weighted(p99_latency_s, na, other.p99_latency_s, nb);
-    p999_latency_s = weighted(p999_latency_s, na, other.p999_latency_s, nb);
-    mean_session_s = weighted(mean_session_s, sess_a, other.mean_session_s, sess_b);
-    p50_session_s = weighted(p50_session_s, sess_a, other.p50_session_s, sess_b);
-    p99_session_s = weighted(p99_session_s, sess_a, other.p99_session_s, sess_b);
-    max_session_s = std::max(max_session_s, other.max_session_s);
-    mean_ttft_s = weighted(mean_ttft_s, dec_a, other.mean_ttft_s, dec_b);
-    p50_ttft_s = weighted(p50_ttft_s, dec_a, other.p50_ttft_s, dec_b);
-    p95_ttft_s = weighted(p95_ttft_s, dec_a, other.p95_ttft_s, dec_b);
-    p99_ttft_s = weighted(p99_ttft_s, dec_a, other.p99_ttft_s, dec_b);
-    max_ttft_s = std::max(max_ttft_s, other.max_ttft_s);
-    mean_tpot_s = weighted(mean_tpot_s, dec_a, other.mean_tpot_s, dec_b);
-    p50_tpot_s = weighted(p50_tpot_s, dec_a, other.p50_tpot_s, dec_b);
-    p95_tpot_s = weighted(p95_tpot_s, dec_a, other.p95_tpot_s, dec_b);
-    p99_tpot_s = weighted(p99_tpot_s, dec_a, other.p99_tpot_s, dec_b);
-    max_tpot_s = std::max(max_tpot_s, other.max_tpot_s);
-  }
+  finalize();
 }
 
 Table FleetMetrics::to_table(const std::string& title) const {

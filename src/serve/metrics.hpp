@@ -64,16 +64,17 @@ struct SlotAvailability {
   double observed_mttr_s = 0.0;    // mean completed repair duration
 };
 
-// Raw latency state a simulation can retain for exact cross-run merging
-// (SimConfig.keep_latency_state; sharded runs always retain it per cell).
-// kExact mode keeps every per-tenant sample; kHdr keeps the per-tenant
-// sketches instead.  `FleetMetrics::merge` uses whichever is present to
-// recompute merged percentiles from the union multiset — the same numbers a
-// single simulation over the union would have produced.
+// A run's raw latency samples: what simulate() accumulates into and what
+// FleetMetrics::merge folds, so every percentile comes from one finaliser
+// over one representation.  kExact mode keeps every per-tenant sample; kHdr
+// keeps per-tenant sketches instead.  A merged state holds the union
+// multiset, so merged percentiles are the ones a single simulation over the
+// union would have produced.  Returned in `FleetMetrics::latency_state` only
+// when SimConfig.keep_latency_state asks for it (sharded cells always do).
 struct LatencyState {
   bool hdr = false;                                // which representation is live
   double hdr_relative_error = 0.01;                // sketch eps (kHdr; must match to merge)
-  std::vector<std::vector<double>> tenant_samples; // kExact: per tenant, sorted
+  std::vector<std::vector<double>> tenant_samples; // kExact: per tenant
   std::vector<HdrHistogram> tenant_hist;           // kHdr: per tenant
   std::vector<double> session_samples;             // closed-loop session latencies
   // Per-token phase latencies of decode requests (kept exact in both
@@ -81,7 +82,19 @@ struct LatencyState {
   // 100M-request firehose the hdr sketches exist for).
   std::vector<double> ttft_samples;                // time to first token
   std::vector<double> tpot_samples;                // mean time per output token
+
+  // One completed request's end-to-end latency for tenant `w`.
+  void add_latency(std::size_t w, double latency_s) {
+    if (hdr) {
+      tenant_hist[w].add(latency_s);
+    } else {
+      tenant_samples[w].push_back(latency_s);
+    }
+  }
 };
+
+struct Scenario;
+struct Observation;
 
 struct FleetMetrics {
   // Traffic.
@@ -198,9 +211,9 @@ struct FleetMetrics {
   std::size_t estimate_lookups = 0;
   std::size_t estimate_misses = 0;
 
-  // Retained raw latency state (null unless SimConfig.keep_latency_state was
-  // set — sharded cell runs set it so the merge can recompute percentiles
-  // exactly).  shared_ptr keeps FleetMetrics cheaply copyable.
+  // The run's latency state, retained only when SimConfig.keep_latency_state
+  // was set (sharded cells set it so merge() can fold it); null otherwise.
+  // shared_ptr keeps FleetMetrics cheaply copyable.
   std::shared_ptr<LatencyState> latency_state;
 
   // Hit fraction (1.0 for a lookup-free run so an untouched cache never reads
@@ -208,39 +221,47 @@ struct FleetMetrics {
   [[nodiscard]] double estimate_hit_rate() const noexcept;
 
   // Folds `other` — the metrics of an *independent, concurrently simulated*
-  // partition (a shard cell, a disjoint sub-fleet) — into this object.  The
-  // merge is commutative pairwise; the cell merge folds in ascending cell
-  // order so multi-way results are deterministic.  Field semantics:
+  // partition (a shard cell, a disjoint sub-fleet) — into this object.  Both
+  // sides must carry `latency_state` (SimConfig.keep_latency_state) of the
+  // same percentile mode and sketch resolution, and describe the same
+  // catalog; otherwise it throws InvalidArgument.  The merge is commutative
+  // pairwise; the cell merge folds in ascending cell order so multi-way
+  // results are deterministic.  Field semantics:
   //
   //   * Merge-exact (counters add; maxima take the max): completed,
   //     within_slo, dispatches, batch_histogram, shed/timed-out/retried/
   //     requeued/failed-batch counts, slot failures/recoveries, autoscale
   //     grows/shrinks, fleet sizes (disjoint sub-fleets add; peak is the sum
   //     of per-cell peaks), estimate lookups/misses, sessions, max latency,
-  //     fleet energy.
-  //   * Merge-exact via retained state: every latency percentile (p50/p95/
-  //     p99/p99.9, per-tenant p50/p99, session p50/p99) is recomputed from
-  //     the union of the two sides' samples (kExact) or merged sketches
-  //     (kHdr) when both sides carry `latency_state` of the same mode;
-  //     mismatched modes or sketch resolutions throw InvalidArgument.
-  //     Without state, percentiles fall back to a completed-weighted average
-  //     — a labelled approximation, not a percentile of the union.
-  //   * Recomputed from merged primitives: throughput/goodput/attainment/
-  //     mean latency/mean batch/drop rate/energy per request.
+  //     fleet energy and dollars.
+  //   * Recomputed by the same finaliser simulate() ends with: every latency,
+  //     session, TTFT and TPOT percentile/mean/max over the union of the two
+  //     sides' samples (or merged sketches), and throughput/goodput/
+  //     attainment/drop rate/mean batch/energy and dollars per request/
+  //     tokens per second/decode occupancy from the merged counters.
+  //   * Recombined from each side's derived value: mean latency (fleet and
+  //     per tenant) weighted by completions, MTTR by repairs.
   //   * Per-run-only (merged by convention, approximate across unequal
   //     horizons): duration_s takes the max (cells run concurrently);
   //     offered_qps adds; mean_queue_depth, mean_fleet_size, utilization,
   //     and availability recombine time-weighted by each side's duration or
   //     slot-time; peak_queue_depth takes the max of per-cell peaks (cells
   //     queue independently — there is no fleet-wide instant to align).
-  //   * Positional: tenants merge element-wise (both sides must describe the
-  //     same catalog, or InvalidArgument); slot_availability concatenates in
-  //     call order.
+  //   * Positional: tenants merge element-wise; slot_availability
+  //     concatenates in call order.
   void merge(const FleetMetrics& other);
 
   [[nodiscard]] Table to_table(const std::string& title) const;
   // One row per tenant: priority, SLO, attainment, goodput, tail latency.
   [[nodiscard]] Table tenant_table(const std::string& title) const;
+
+ private:
+  // Derives every rate, attainment and sample statistic from the counters
+  // and `latency_state` (sorting its samples).  Runs once at the end of
+  // simulate() and once per merge(), so both compute these fields with the
+  // same code.
+  void finalize();
+  friend FleetMetrics simulate(const Scenario& scenario, Observation* observation);
 };
 
 }  // namespace lumos::serve

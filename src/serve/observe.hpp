@@ -370,8 +370,8 @@ enum class LoopSource : std::uint8_t {
   kArrivals,         // traffic-source pulls + admission
   kRetries,          // retry-heap re-issues
   kAutoscale,        // autoscaler evaluation steps
-  kDispatch,         // batch formation + routing (inclusive)
-  kSchedulerPop,     // scheduler ready/pop inside dispatch
+  kDispatch,         // batch formation + routing (inclusive), one event per call
+  kSchedulerPop,     // scheduler ready/pop inside dispatch, one event per query
   kEstimate,         // estimate-cache lookups inside dispatch
   kCount,
 };

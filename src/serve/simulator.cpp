@@ -412,17 +412,21 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   m.initial_fleet_size = slots.size();
   m.peak_fleet_size = slots.size();
   double latency_sum = 0.0;
-  std::size_t within_slo = 0;
   double dispatched_energy_j = 0.0;
   double depth_time = 0.0;
-  // Latency samples: the exact mode stores every sample per tenant (sorted at
-  // the end — the historical bit-identical path); kHdr streams them into
-  // bounded-error sketches instead, so memory stays flat at 100M-request
-  // scale.  `tenant_completed` counts completions in both modes.
-  const bool hdr = sim.percentile_mode == PercentileMode::kHdr;
-  std::vector<std::vector<double>> tenant_latencies(hdr ? 0 : catalog.size());
-  std::vector<HdrHistogram> tenant_hist(
-      hdr ? catalog.size() : 0, HdrHistogram(hdr ? sim.hdr_relative_error : 0.01));
+  // The run's latency samples (see LatencyState): the exact mode stores every
+  // sample per tenant; kHdr streams them into bounded-error sketches instead,
+  // so memory stays flat at 100M-request scale.  `tenant_completed` counts
+  // completions in both modes.
+  m.latency_state = std::make_shared<LatencyState>();
+  LatencyState& samples = *m.latency_state;
+  samples.hdr = sim.percentile_mode == PercentileMode::kHdr;
+  samples.hdr_relative_error = sim.hdr_relative_error;
+  if (samples.hdr) {
+    samples.tenant_hist.assign(catalog.size(), HdrHistogram(sim.hdr_relative_error));
+  } else {
+    samples.tenant_samples.resize(catalog.size());
+  }
   std::vector<std::size_t> tenant_completed(catalog.size(), 0);
   std::vector<double> tenant_sum(catalog.size(), 0.0);
   std::vector<double> tenant_max(catalog.size(), 0.0);
@@ -464,10 +468,6 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   std::vector<double> tpot_slo_of;
   std::vector<std::uint32_t> ctx_bucket_of;
   std::vector<std::uint32_t> native_seq_of;  // prompt length when seq_len == 0
-  // Phase-latency samples of completed decode requests (always exact; see
-  // LatencyState).
-  std::vector<double> ttft_samples;
-  std::vector<double> tpot_samples;
   std::vector<Request> joiner_buf;
   if (has_decode) {
     for (std::size_t c = 0; c < caches.size(); ++c) {
@@ -571,11 +571,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   const auto complete_ok = [&](const Request& req, double t) {
     const std::uint32_t w = req.workload;
     const double latency = t - req.first_arrival_s;
-    if (hdr) {
-      tenant_hist[w].add(latency);
-    } else {
-      tenant_latencies[w].push_back(latency);
-    }
+    samples.add_latency(w, latency);
     ++tenant_completed[w];
     tenant_sum[w] += latency;
     tenant_max[w] = std::max(tenant_max[w], latency);
@@ -583,7 +579,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     m.max_latency_s = std::max(m.max_latency_s, latency);
     const bool in_slo = latency <= slo_of[w];
     if (in_slo) {
-      ++within_slo;
+      ++m.within_slo;
       ++tenant_within[w];
     }
     ++m.completed;
@@ -613,14 +609,14 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     ++m.decode_requests;
     m.generated_tokens += generated;
     const double ttft = first_token_s - req.first_arrival_s;
-    ttft_samples.push_back(ttft);
+    samples.ttft_samples.push_back(ttft);
     if (ttft_slo_of[w] > 0.0) {
       ++m.ttft_slo_requests;
       if (ttft <= ttft_slo_of[w]) ++m.within_ttft_slo;
     }
     if (generated >= 2) {
       const double tpot = (t - first_token_s) / static_cast<double>(generated - 1);
-      tpot_samples.push_back(tpot);
+      samples.tpot_samples.push_back(tpot);
       if (tpot_slo_of[w] > 0.0) {
         ++m.tpot_slo_requests;
         if (tpot <= tpot_slo_of[w]) ++m.within_tpot_slo;
@@ -761,7 +757,12 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       if (!any_dispatchable()) return;
       const WorkloadMask mask = current_mask();
       const auto t_pop = prof_now();
-      if (!sched->ready(now_s, mask)) return;
+      if (!sched->ready(now_s, mask)) {
+        if constexpr (kObs) {
+          if (prof) prof->record(LoopSource::kSchedulerPop, t_pop, 1);
+        }
+        return;
+      }
       std::vector<Request> batch = arena.acquire();
       sched->pop(now_s, mask, batch);
       if (prof) prof->record(LoopSource::kSchedulerPop, t_pop, 1);
@@ -1174,34 +1175,23 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       if (prof) prof->record(LoopSource::kAutoscale, t_scale, 1);
     }
     const auto t_dispatch = prof_now();
-    const std::size_t dispatched_before = m.dispatches;
     try_dispatch(now_s);
     if (prof) {
-      prof->record(LoopSource::kDispatch, t_dispatch, m.dispatches - dispatched_before);
+      prof->record(LoopSource::kDispatch, t_dispatch, 1);
       prof->add_iterations(1);
     }
     if constexpr (kObs) obs->on_tick(now_s, sched->queued(), active_total, failed_total);
   }
   if constexpr (kObs) obs->finish(now_s);
 
+  // Fields only the run itself can derive; the shared rates and sample
+  // statistics are left to FleetMetrics::finalize, which simulate() calls.
   const double duration_s = now_s;
   m.offered_qps = static_cast<double>(total_requests) / std::max(last_arrival_s, 1e-300);
   m.duration_s = duration_s;
-  m.throughput_qps = static_cast<double>(m.completed) / std::max(duration_s, 1e-300);
-  m.goodput_qps = static_cast<double>(within_slo) / std::max(duration_s, 1e-300);
   m.slo_latency_s = slo_s;
-  m.within_slo = within_slo;
-  m.slo_attainment =
-      m.completed > 0
-          ? static_cast<double>(within_slo) / static_cast<double>(m.completed)
-          : 0.0;
   m.mean_latency_s =
       m.completed > 0 ? latency_sum / static_cast<double>(m.completed) : 0.0;
-  m.drop_rate = static_cast<double>(m.shed_requests + m.timed_out_requests) /
-                static_cast<double>(total_requests);
-
-  // Per-tenant breakdown, then the aggregate percentiles over the union of
-  // the tenants' samples (the same multiset the pre-tenant simulator sorted).
   m.tenants.resize(catalog.size());
   for (std::uint32_t w = 0; w < catalog.size(); ++w) {
     TenantMetrics& t = m.tenants[w];
@@ -1214,91 +1204,9 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     t.shed = tenant_shed[w];
     t.timed_out = tenant_timed_out[w];
     t.cost_usd = tenant_cost_usd[w];
-    const std::size_t issued = t.completed + t.shed + t.timed_out;
-    if (issued > 0) {
-      t.drop_rate = static_cast<double>(t.shed + t.timed_out) / static_cast<double>(issued);
-    }
-    if (t.completed > 0) {
-      t.slo_attainment = static_cast<double>(tenant_within[w]) /
-                         static_cast<double>(t.completed);
-      t.goodput_qps =
-          static_cast<double>(tenant_within[w]) / std::max(duration_s, 1e-300);
-      t.mean_latency_s = tenant_sum[w] / static_cast<double>(t.completed);
-      if (hdr) {
-        t.p50_latency_s = tenant_hist[w].percentile(0.50);
-        t.p99_latency_s = tenant_hist[w].percentile(0.99);
-      } else {
-        t.p50_latency_s = percentile(tenant_latencies[w], 0.50);
-        t.p99_latency_s = percentile(tenant_latencies[w], 0.99);
-      }
-    }
-  }
-  if (hdr) {
-    // Aggregate sketch: merging the tenants' histograms is exact (bucket
-    // counts add), so the fleet percentiles see the same multiset the exact
-    // path sorts.
-    HdrHistogram all(sim.hdr_relative_error);
-    for (const HdrHistogram& h : tenant_hist) all.merge(h);
-    m.p50_latency_s = all.percentile(0.50);
-    m.p95_latency_s = all.percentile(0.95);
-    m.p99_latency_s = all.percentile(0.99);
-    m.p999_latency_s = all.percentile(0.999);
-  } else {
-    std::vector<double> latencies;
-    latencies.reserve(m.completed);
-    for (const std::vector<double>& samples : tenant_latencies) {
-      latencies.insert(latencies.end(), samples.begin(), samples.end());
-    }
-    m.p50_latency_s = percentile(latencies, 0.50);
-    m.p95_latency_s = percentile(latencies, 0.95);
-    m.p99_latency_s = percentile(latencies, 0.99);
-    m.p999_latency_s = percentile(latencies, 0.999);
+    if (t.completed > 0) t.mean_latency_s = tenant_sum[w] / static_cast<double>(t.completed);
   }
   m.mean_queue_depth = depth_time / std::max(duration_s, 1e-300);
-  m.mean_batch_size =
-      static_cast<double>(m.completed) / static_cast<double>(std::max<std::size_t>(m.dispatches, 1));
-  if (has_decode) {
-    m.tokens_per_s =
-        static_cast<double>(m.generated_tokens) / std::max(duration_s, 1e-300);
-    m.ttft_attainment = m.ttft_slo_requests > 0
-                            ? static_cast<double>(m.within_ttft_slo) /
-                                  static_cast<double>(m.ttft_slo_requests)
-                            : 1.0;
-    m.tpot_attainment = m.tpot_slo_requests > 0
-                            ? static_cast<double>(m.within_tpot_slo) /
-                                  static_cast<double>(m.tpot_slo_requests)
-                            : 1.0;
-    std::size_t steps = 0;
-    std::size_t lane_steps = 0;
-    for (std::size_t lanes = 0; lanes < m.decode_occupancy.size(); ++lanes) {
-      steps += m.decode_occupancy[lanes];
-      lane_steps += lanes * m.decode_occupancy[lanes];
-    }
-    m.mean_decode_occupancy =
-        steps > 0 ? static_cast<double>(lane_steps) / static_cast<double>(steps) : 0.0;
-    if (!ttft_samples.empty()) {
-      double sum = 0.0;
-      for (const double v : ttft_samples) {
-        sum += v;
-        m.max_ttft_s = std::max(m.max_ttft_s, v);
-      }
-      m.mean_ttft_s = sum / static_cast<double>(ttft_samples.size());
-      m.p50_ttft_s = percentile(ttft_samples, 0.50);
-      m.p95_ttft_s = percentile(ttft_samples, 0.95);
-      m.p99_ttft_s = percentile(ttft_samples, 0.99);
-    }
-    if (!tpot_samples.empty()) {
-      double sum = 0.0;
-      for (const double v : tpot_samples) {
-        sum += v;
-        m.max_tpot_s = std::max(m.max_tpot_s, v);
-      }
-      m.mean_tpot_s = sum / static_cast<double>(tpot_samples.size());
-      m.p50_tpot_s = percentile(tpot_samples, 0.50);
-      m.p95_tpot_s = percentile(tpot_samples, 0.95);
-      m.p99_tpot_s = percentile(tpot_samples, 0.99);
-    }
-  }
 
   // Energy and utilization integrate each slot over its active window
   // (activation to retirement, or simulation end).  Static fleets have one
@@ -1326,14 +1234,10 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   m.final_fleet_size = final_active;
   m.mean_fleet_size = slot_time_s / std::max(duration_s, 1e-300);
   m.fleet_energy_j = dispatched_energy_j + idle_static_j;
-  m.energy_per_request_j =
-      m.completed > 0 ? m.fleet_energy_j / static_cast<double>(m.completed) : 0.0;
   // Fleet dollars: every active slot-hour at its amortised rate plus all
   // energy at the marginal $/J (per-tenant attribution above covers only the
   // served share; the idle burn lands here).
   m.fleet_cost_usd = slot_cost_usd + m.fleet_energy_j * fleet.cost.usd_per_joule;
-  m.cost_per_request_usd =
-      m.completed > 0 ? m.fleet_cost_usd / static_cast<double>(m.completed) : 0.0;
   m.fleet_utilization = busy_total / std::max(slot_time_s, 1e-300);
   for (const EstimateCache& c : caches) {
     m.estimate_lookups += c.lookups();
@@ -1373,23 +1277,6 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     m.observed_mttr_s =
         repairs_total > 0 ? repair_total_s / static_cast<double>(repairs_total) : 0.0;
   }
-  // Exact-merge support: hand the raw latency state to the caller before the
-  // source reports (a closed-loop source appends its session samples to it).
-  // The samples land sorted (percentile() sorts in place above); merge
-  // re-sorts unions anyway.
-  if (sim.keep_latency_state) {
-    auto st = std::make_shared<LatencyState>();
-    st->hdr = hdr;
-    st->hdr_relative_error = sim.hdr_relative_error;
-    if (hdr) {
-      st->tenant_hist = std::move(tenant_hist);
-    } else {
-      st->tenant_samples = std::move(tenant_latencies);
-    }
-    st->ttft_samples = std::move(ttft_samples);
-    st->tpot_samples = std::move(tpot_samples);
-    m.latency_state = std::move(st);
-  }
   source->finish(m);
   if constexpr (kObs) {
     if (observation != nullptr) *observation = hub->take();
@@ -1403,10 +1290,21 @@ FleetMetrics simulate(const Scenario& scenario, Observation* observation) {
   validate_scenario(scenario);
   // Template split: unobserved runs take the kObs=false instantiation, whose
   // hook sites do not exist in the compiled loop at all.
-  if (scenario.observe.enabled()) {
-    return simulate_impl<true>(scenario, observation);
+  FleetMetrics m = scenario.observe.enabled() ? simulate_impl<true>(scenario, observation)
+                                              : simulate_impl<false>(scenario, observation);
+  if (!scenario.sim.keep_latency_state) {
+    m.finalize();
+    m.latency_state.reset();
+    return m;
   }
-  return simulate_impl<false>(scenario, observation);
+  // finalize() sorts every sample vector it reads, but a retained state hands
+  // its session samples on in the order the sessions finished: merge() sums
+  // the union in the order it finds it, and sorted cell samples would move a
+  // merged mean_session_s in its last bits.
+  std::vector<double> finish_order = m.latency_state->session_samples;
+  m.finalize();
+  m.latency_state->session_samples = std::move(finish_order);
+  return m;
 }
 
 }  // namespace lumos::serve

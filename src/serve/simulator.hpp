@@ -164,11 +164,12 @@ struct SimConfig {
   // Decode-phase scheduling (see DecodeMode).  Irrelevant — and bit-identity
   // preserving — when no request decodes.
   DecodeMode decode_mode = DecodeMode::kContinuous;
-  // Retain the raw latency state (per-tenant samples or sketches, session
-  // latencies) in `FleetMetrics::latency_state` so this run's metrics can be
-  // merged exactly with another's (see FleetMetrics::merge).  Sharded runs
-  // set this per cell internally; off by default because exact-mode state
-  // holds every sample.
+  // Every run accumulates its samples into a LatencyState and derives its
+  // metrics from it; this only decides whether that state is returned in
+  // `FleetMetrics::latency_state` (so this run can be merged with another's,
+  // see FleetMetrics::merge) or dropped.  The metrics are bit-identical
+  // either way.  Sharded runs set it per cell internally; off by default
+  // because exact-mode state holds every sample.
   bool keep_latency_state = false;
 };
 

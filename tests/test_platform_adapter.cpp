@@ -248,8 +248,12 @@ serve::Scenario open_hybrid_scenario(std::size_t requests, std::uint64_t seed) {
 }
 
 TEST(CostMetrics, MergeAddsDollarsExactlyAndRecomputesPerRequest) {
-  const serve::FleetMetrics a = simulate(open_hybrid_scenario(6000, 11));
-  const serve::FleetMetrics b = simulate(open_hybrid_scenario(4000, 77));
+  serve::Scenario sa = open_hybrid_scenario(6000, 11);
+  sa.sim.keep_latency_state = true;  // merge needs both sides' samples
+  serve::Scenario sb = open_hybrid_scenario(4000, 77);
+  sb.sim.keep_latency_state = true;
+  const serve::FleetMetrics a = simulate(sa);
+  const serve::FleetMetrics b = simulate(sb);
   ASSERT_GT(a.fleet_cost_usd, 0.0);
   ASSERT_GT(b.fleet_cost_usd, 0.0);
   serve::FleetMetrics merged = a;

@@ -1,13 +1,14 @@
 // Tests for cell-sharded simulation (serve/shard.hpp), the metrics merge
-// (FleetMetrics::merge), the event-queue containers (serve/event_heap.hpp),
-// and the batch-buffer arena (serve/arena.hpp).  The load-bearing contracts:
+// (FleetMetrics::merge), the event heap (serve/event_heap.hpp), and the
+// batch-buffer arena (serve/arena.hpp).  The load-bearing contracts:
 //
 //   * cells == 1 is bit-identical to the serial simulator;
 //   * for fixed K, simulate_sharded equals the serial ascending fold of the
 //     plan's cells — independent of LUMOS_THREADS (CI runs 1 and 4);
-//   * FleetMetrics::merge is pairwise commutative, and with retained latency
-//     state its percentiles are exact over the union multiset;
-//   * CalendarQueue pops the same total order EventHeap does;
+//   * FleetMetrics::merge is pairwise commutative, needs retained latency
+//     state on both sides, and its sample statistics are exact over the
+//     union multiset;
+//   * keep_latency_state changes nothing but whether the state is returned;
 //   * RequestArena never hands out a buffer that is still live.
 #include <gtest/gtest.h>
 
@@ -102,6 +103,52 @@ void expect_bit_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.p50_session_s, b.p50_session_s);
   EXPECT_EQ(a.p99_session_s, b.p99_session_s);
   EXPECT_EQ(a.max_session_s, b.max_session_s);
+}
+
+// expect_bit_identical plus the decode, cost and per-tenant rate fields.
+void expect_all_bit_identical(const FleetMetrics& a, const FleetMetrics& b) {
+  expect_bit_identical(a, b);
+  EXPECT_EQ(a.fleet_cost_usd, b.fleet_cost_usd);
+  EXPECT_EQ(a.cost_per_request_usd, b.cost_per_request_usd);
+  EXPECT_EQ(a.decode_requests, b.decode_requests);
+  EXPECT_EQ(a.generated_tokens, b.generated_tokens);
+  EXPECT_EQ(a.decode_steps, b.decode_steps);
+  EXPECT_EQ(a.tokens_per_s, b.tokens_per_s);
+  EXPECT_EQ(a.mean_ttft_s, b.mean_ttft_s);
+  EXPECT_EQ(a.p50_ttft_s, b.p50_ttft_s);
+  EXPECT_EQ(a.p95_ttft_s, b.p95_ttft_s);
+  EXPECT_EQ(a.p99_ttft_s, b.p99_ttft_s);
+  EXPECT_EQ(a.max_ttft_s, b.max_ttft_s);
+  EXPECT_EQ(a.mean_tpot_s, b.mean_tpot_s);
+  EXPECT_EQ(a.p50_tpot_s, b.p50_tpot_s);
+  EXPECT_EQ(a.p95_tpot_s, b.p95_tpot_s);
+  EXPECT_EQ(a.p99_tpot_s, b.p99_tpot_s);
+  EXPECT_EQ(a.max_tpot_s, b.max_tpot_s);
+  EXPECT_EQ(a.ttft_attainment, b.ttft_attainment);
+  EXPECT_EQ(a.tpot_attainment, b.tpot_attainment);
+  EXPECT_EQ(a.decode_occupancy, b.decode_occupancy);
+  EXPECT_EQ(a.mean_decode_occupancy, b.mean_decode_occupancy);
+  for (std::size_t w = 0; w < a.tenants.size() && w < b.tenants.size(); ++w) {
+    EXPECT_EQ(a.tenants[w].slo_attainment, b.tenants[w].slo_attainment);
+    EXPECT_EQ(a.tenants[w].drop_rate, b.tenants[w].drop_rate);
+    EXPECT_EQ(a.tenants[w].cost_usd, b.tenants[w].cost_usd);
+  }
+}
+
+// Closed-loop sessions decoding with continuous batching: every sample
+// vector of LatencyState (tenant, session, TTFT, TPOT) is non-empty.
+Scenario closed_decode_scenario(std::size_t sessions, std::uint64_t seed) {
+  Scenario s;
+  s.fleet = FleetConfig::homogeneous("tron", 4);
+  s.catalog = WorkloadCatalog::tron_default();
+  s.catalog.apply_decode(SeqLenDist::kLogNormal, 16);
+  s.batch.max_batch = 8;
+  s.sim.decode_mode = DecodeMode::kContinuous;
+  s.traffic.mode = LoopMode::kClosed;
+  s.traffic.closed.sessions = sessions;
+  s.traffic.closed.requests_per_session = 10;
+  s.traffic.closed.seed = seed;
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -305,6 +352,7 @@ TEST(MetricsMerge, HdrStatesMergeAndMismatchesThrow) {
 
 TEST(MetricsMerge, MismatchedCatalogsThrow) {
   Scenario sa = open_loop_scenario(4, 2000);
+  sa.sim.keep_latency_state = true;
   const FleetMetrics a = simulate(sa);
   FleetMetrics b = a;
   b.tenants.pop_back();
@@ -312,23 +360,134 @@ TEST(MetricsMerge, MismatchedCatalogsThrow) {
   EXPECT_THROW(m.merge(b), InvalidArgument);
 }
 
-TEST(MetricsMerge, StatelessFallbackIsCompletedWeighted) {
-  Scenario sa = open_loop_scenario(4, 4000);
-  Scenario sb = open_loop_scenario(4, 2000);
-  sb.traffic.open.seed = 5;
+// Every rate the finaliser derives reads the merged counters: the same
+// formulas hold after a fold as after a single run.
+TEST(MetricsMerge, RatesRecomputeFromMergedCounters) {
+  Scenario sa = faulted_scenario(4, 6000);
+  sa.sim.keep_latency_state = true;
+  Scenario sb = sa;
+  sb.traffic.open.seed = 29;
+  sb.sim.faults.seed = 31;
+  const FleetMetrics a = simulate(sa);
+  FleetMetrics merged = a;
+  merged.merge(simulate(sb));
+  const auto expect_rates = [](const FleetMetrics& m) {
+    ASSERT_LT(m.within_slo, m.completed);
+    ASSERT_GT(m.shed_requests + m.timed_out_requests, 0u);
+    const double n = static_cast<double>(m.completed);
+    EXPECT_EQ(m.throughput_qps, n / m.duration_s);
+    EXPECT_EQ(m.goodput_qps, static_cast<double>(m.within_slo) / m.duration_s);
+    EXPECT_EQ(m.slo_attainment, static_cast<double>(m.within_slo) / n);
+    EXPECT_EQ(m.drop_rate,
+              static_cast<double>(m.shed_requests + m.timed_out_requests) /
+                  static_cast<double>(m.completed + m.shed_requests + m.timed_out_requests));
+    EXPECT_EQ(m.mean_batch_size, n / static_cast<double>(m.dispatches));
+    EXPECT_EQ(m.energy_per_request_j, m.fleet_energy_j / n);
+    for (const TenantMetrics& t : m.tenants) {
+      if (t.completed == 0) continue;
+      EXPECT_EQ(t.goodput_qps, static_cast<double>(t.within_slo) / m.duration_s);
+      EXPECT_EQ(t.slo_attainment,
+                static_cast<double>(t.within_slo) / static_cast<double>(t.completed));
+      EXPECT_EQ(t.drop_rate, static_cast<double>(t.shed + t.timed_out) /
+                                 static_cast<double>(t.completed + t.shed + t.timed_out));
+    }
+  };
+  expect_rates(a);
+  expect_rates(merged);
+}
+
+// A side that dropped its samples cannot be merged exactly, and there is no
+// approximate fallback: the merge refuses it whichever side it is.
+TEST(MetricsMerge, StatelessMergeThrows) {
+  Scenario kept = open_loop_scenario(4, 2000);
+  kept.sim.keep_latency_state = true;
+  const FleetMetrics with_state = simulate(kept);
+  const FleetMetrics without_state = simulate(open_loop_scenario(4, 2000));
+  ASSERT_EQ(without_state.latency_state, nullptr);
+  FleetMetrics left = with_state;
+  EXPECT_THROW(left.merge(without_state), InvalidArgument);
+  FleetMetrics right = without_state;
+  EXPECT_THROW(right.merge(with_state), InvalidArgument);
+}
+
+// The decode and session branches of the merge: merged TTFT, TPOT and
+// session statistics equal the same statistics over the concatenated samples.
+TEST(MetricsMerge, DecodeAndSessionStatsMatchUnion) {
+  Scenario sa = closed_decode_scenario(12, 3);
+  sa.sim.keep_latency_state = true;
+  Scenario sb = closed_decode_scenario(9, 41);
+  sb.sim.keep_latency_state = true;
   const FleetMetrics a = simulate(sa);
   const FleetMetrics b = simulate(sb);
+  ASSERT_GT(a.decode_requests, 0u);
+  ASSERT_GT(b.decode_requests, 0u);
   FleetMetrics merged = a;
   merged.merge(b);
-  const double na = static_cast<double>(a.completed);
-  const double nb = static_cast<double>(b.completed);
-  EXPECT_DOUBLE_EQ(merged.p99_latency_s,
-                   (a.p99_latency_s * na + b.p99_latency_s * nb) / (na + nb));
-  EXPECT_EQ(merged.latency_state, nullptr);
+
+  struct Stats {
+    double mean, max, p50, p95, p99;
+  };
+  const auto union_stats = [&](std::vector<double> LatencyState::*field) {
+    std::vector<double> all = a.latency_state.get()->*field;
+    const std::vector<double>& more = b.latency_state.get()->*field;
+    all.insert(all.end(), more.begin(), more.end());
+    double sum = 0.0;
+    double max = 0.0;
+    for (const double v : all) {
+      sum += v;
+      max = std::max(max, v);
+    }
+    const double mean = sum / static_cast<double>(all.size());
+    return Stats{mean, max, percentile(all, 0.50), percentile(all, 0.95),
+                 percentile(all, 0.99)};
+  };
+
+  const Stats ttft = union_stats(&LatencyState::ttft_samples);
+  EXPECT_DOUBLE_EQ(merged.mean_ttft_s, ttft.mean);
+  EXPECT_EQ(merged.max_ttft_s, ttft.max);
+  EXPECT_EQ(merged.p50_ttft_s, ttft.p50);
+  EXPECT_EQ(merged.p95_ttft_s, ttft.p95);
+  EXPECT_EQ(merged.p99_ttft_s, ttft.p99);
+
+  const Stats tpot = union_stats(&LatencyState::tpot_samples);
+  EXPECT_DOUBLE_EQ(merged.mean_tpot_s, tpot.mean);
+  EXPECT_EQ(merged.max_tpot_s, tpot.max);
+  EXPECT_EQ(merged.p50_tpot_s, tpot.p50);
+  EXPECT_EQ(merged.p95_tpot_s, tpot.p95);
+  EXPECT_EQ(merged.p99_tpot_s, tpot.p99);
+
+  const Stats session = union_stats(&LatencyState::session_samples);
+  EXPECT_EQ(merged.sessions, 21u);
+  EXPECT_DOUBLE_EQ(merged.mean_session_s, session.mean);
+  EXPECT_EQ(merged.max_session_s, session.max);
+  EXPECT_EQ(merged.p50_session_s, session.p50);
+  EXPECT_EQ(merged.p99_session_s, session.p99);
+
+  EXPECT_EQ(merged.decode_requests, a.decode_requests + b.decode_requests);
+  EXPECT_EQ(merged.generated_tokens, a.generated_tokens + b.generated_tokens);
+  EXPECT_EQ(merged.tokens_per_s,
+            static_cast<double>(merged.generated_tokens) / merged.duration_s);
+}
+
+// keep_latency_state decides only whether the run's state is handed back:
+// every metric is the same bit for bit either way.
+TEST(LatencyState, KeepingItChangesNothingButThePointer) {
+  Scenario hdr = open_loop_scenario(4, 6000);
+  hdr.sim.percentile_mode = PercentileMode::kHdr;
+  for (Scenario s : {open_loop_scenario(4, 6000), hdr, closed_decode_scenario(12, 5)}) {
+    s.sim.keep_latency_state = false;
+    const FleetMetrics dropped = simulate(s);
+    s.sim.keep_latency_state = true;
+    const FleetMetrics kept = simulate(s);
+    EXPECT_EQ(dropped.latency_state, nullptr);
+    ASSERT_NE(kept.latency_state, nullptr);
+    EXPECT_EQ(kept.latency_state->hdr, s.sim.percentile_mode == PercentileMode::kHdr);
+    expect_all_bit_identical(dropped, kept);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Event-queue containers
+// EventHeap
 // ---------------------------------------------------------------------------
 
 struct Ev {
@@ -341,50 +500,6 @@ struct EvLater {
     return a.seq > b.seq;
   }
 };
-
-TEST(EventQueues, CalendarQueuePopsEventHeapOrder) {
-  // Clustered times (equal-time ties included) across a span much wider than
-  // the calendar, forcing wraps, day-walks, the sparse fallback, and a
-  // rehash; interleaved pops exercise cursor resets from mid-queue state.
-  Rng rng(42);
-  EventHeap<Ev, EvLater> heap;
-  CalendarQueue<Ev, EvLater> cal(/*bucket_width_s=*/0.01, /*bucket_count=*/8);
-  std::uint64_t seq = 0;
-  std::vector<double> drained_heap;
-  std::vector<double> drained_cal;
-  const auto push_both = [&](double t) {
-    heap.push({t, seq});
-    cal.push({t, seq});
-    ++seq;
-  };
-  for (std::size_t round = 0; round < 50; ++round) {
-    const std::size_t burst = 1 + rng.next_below(40);
-    const double base = rng.uniform(0.0, 50.0);
-    for (std::size_t i = 0; i < burst; ++i) {
-      // Quantised offsets manufacture equal-time collisions.
-      push_both(base + 1e-3 * static_cast<double>(rng.next_below(5)));
-    }
-    const std::size_t pops = rng.next_below(burst + 4);
-    for (std::size_t i = 0; i < pops && !heap.empty(); ++i) {
-      ASSERT_EQ(heap.next_time_s(), cal.next_time_s());
-      const Ev a = heap.pop();
-      const Ev c = cal.pop();
-      ASSERT_EQ(a.time_s, c.time_s);
-      ASSERT_EQ(a.seq, c.seq);  // total order: identical event, not just time
-      drained_heap.push_back(a.time_s);
-      drained_cal.push_back(c.time_s);
-    }
-  }
-  while (!heap.empty()) {
-    const Ev a = heap.pop();
-    const Ev c = cal.pop();
-    ASSERT_EQ(a.seq, c.seq);
-  }
-  EXPECT_TRUE(cal.empty());
-  EXPECT_EQ(cal.next_time_s(), kNever);
-  EXPECT_EQ(heap.next_time_s(), kNever);
-  EXPECT_EQ(drained_heap, drained_cal);
-}
 
 TEST(EventQueues, EventHeapIsStableTotalOrderAtEqualTimes) {
   EventHeap<Ev, EvLater> heap;
