@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,12 +20,22 @@ namespace lumos::serve {
 // 0 for an empty vector.
 [[nodiscard]] double percentile(std::vector<double>& samples, double q);
 
+// The same nearest-rank percentiles at every q in `quantiles` (non-decreasing
+// order) without the sort: out[i] == percentile(samples, quantiles[i]) bit for
+// bit, found by a cascade of std::nth_element selections, each over the
+// suffix the previous one left, so the cost is linear in samples.size().
+// Permutes `samples` (unsorted afterwards); every out[i] is 0 for an empty
+// vector.
+void select_percentiles(std::vector<double>& samples, std::span<const double> quantiles,
+                        std::span<double> out);
+
 // How a simulation computes its latency percentiles (SimConfig.percentile_mode).
-// kExact stores and sorts every latency sample (bit-identical to the
-// historical path, the default); kHdr streams samples into a bounded-error
-// `lumos::HdrHistogram` (SimConfig.hdr_relative_error) so percentile memory
-// stops scaling with request count — the 100M-request-scale path.  Mean, max,
-// and every counter stay exact in both modes.
+// kExact stores every latency sample and selects its exact order statistics
+// (select_percentiles; the default); kHdr streams samples into a
+// bounded-error `lumos::HdrHistogram` (SimConfig.hdr_relative_error) so
+// percentile memory stops scaling with request count — the
+// 100M-request-scale path.  Mean, max, and every counter stay exact in both
+// modes.
 enum class PercentileMode {
   kExact,
   kHdr,
@@ -257,7 +268,8 @@ struct FleetMetrics {
 
  private:
   // Derives every rate, attainment and sample statistic from the counters
-  // and `latency_state` (sorting its samples).  Runs once at the end of
+  // and `latency_state` (selecting from its latency samples, sorting its
+  // session/TTFT/TPOT samples).  Runs once at the end of
   // simulate() and once per merge(), so both compute these fields with the
   // same code.
   void finalize();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -11,16 +12,6 @@
 namespace lumos::serve {
 
 namespace {
-
-// SplitMix64 finaliser: a well-mixed 64-bit hash, so the sampling decision is
-// a pure function of (id, seed) — independent of event interleaving, fleet
-// shape, and LUMOS_THREADS.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 // Trace emission helpers.  Timestamps are microseconds (the trace_event
 // contract); `%.3f` keeps nanosecond resolution without 17-digit noise.
@@ -59,15 +50,6 @@ void validate_observe(const ObserveConfig& config) {
   }
 }
 
-bool trace_sampled(std::uint64_t id, std::uint64_t seed, double sample) {
-  if (sample >= 1.0) return true;
-  if (sample <= 0.0) return false;
-  // Threshold compare in the hash's own 64-bit space; ldexp avoids the
-  // uint64 -> double rounding pitfalls of dividing by 2^64.
-  const double h = std::ldexp(static_cast<double>(splitmix64(id ^ seed)), -64);
-  return h < sample;
-}
-
 // ---------------------------------------------------------------------------
 // LifecycleTracer
 // ---------------------------------------------------------------------------
@@ -75,10 +57,6 @@ bool trace_sampled(std::uint64_t id, std::uint64_t seed, double sample) {
 LifecycleTracer::LifecycleTracer(const TracerConfig& config, const WorkloadCatalog& catalog)
     : config_(config), catalog_(&catalog) {
   spans_.reserve(std::min<std::size_t>(config_.max_batch_spans, 4096));
-}
-
-bool LifecycleTracer::sampled(std::uint64_t id) const noexcept {
-  return trace_sampled(id, config_.seed, config_.sample);
 }
 
 void LifecycleTracer::on_slot_added(std::size_t slot, const std::string& spec, double) {
@@ -98,8 +76,7 @@ void LifecycleTracer::record(const Request& request, double time_s, RequestEvent
   events_.push_back(ev);
 }
 
-void LifecycleTracer::on_arrival(const Request& request, double now_s) {
-  if (!sampled(request.id)) return;
+void LifecycleTracer::begin_request(const Request& request, double now_s) {
   // Saturation refuses whole requests, never truncates one mid-span: a
   // request either has its complete lifecycle in the buffer or is absent.
   if (saturated_ || events_.size() >= config_.max_request_events) {
@@ -108,6 +85,7 @@ void LifecycleTracer::on_arrival(const Request& request, double now_s) {
     return;
   }
   live_ids_.insert(request.id);
+  ++live_filter_[request.id & (kLiveFilter - 1)];
   ++sampled_requests_;
   record(request, now_s, RequestEventKind::kArrival);
 }
@@ -135,18 +113,9 @@ void LifecycleTracer::on_dispatch(std::size_t slot, std::uint64_t seq,
   }
   if (live_ids_.empty()) return;  // nothing sampled in flight; skip the scan
   for (const Request& req : batch) {
-    if (live_ids_.count(req.id) != 0) {
+    if (live(req)) {
       record(req, now_s, RequestEventKind::kDispatch, static_cast<std::int32_t>(slot));
     }
-  }
-}
-
-void LifecycleTracer::on_batch_complete(std::size_t slot, std::uint64_t seq, double, double,
-                                        std::size_t) {
-  // The span's end was already the predicted completion; just close the slot.
-  if (slot < slot_open_span_.size() && slot_open_span_[slot] != kNoSpan &&
-      spans_[slot_open_span_[slot]].seq == seq) {
-    slot_open_span_[slot] = kNoSpan;
   }
 }
 
@@ -164,28 +133,29 @@ void LifecycleTracer::on_batch_abort(std::size_t slot, std::uint64_t seq, double
 }
 
 void LifecycleTracer::on_requeue(const Request& request, double now_s) {
-  if (live_ids_.count(request.id) != 0) {
+  if (live(request)) {
     record(request, now_s, RequestEventKind::kRequeue);
   }
 }
 
 void LifecycleTracer::on_attempt_timeout(const Request& request, double now_s, bool) {
-  if (live_ids_.count(request.id) != 0) {
+  if (live(request)) {
     record(request, now_s, RequestEventKind::kAttemptTimeout);
   }
 }
 
 void LifecycleTracer::on_retry(const Request& request, double now_s, double) {
-  if (live_ids_.count(request.id) != 0) {
+  if (live(request)) {
     record(request, now_s, RequestEventKind::kRetry);
   }
 }
 
-void LifecycleTracer::on_complete(const Request& request, double now_s,
-                                  CompletionStatus status, double, bool) {
+void LifecycleTracer::end_request(const Request& request, double now_s,
+                                  CompletionStatus status) {
   const auto it = live_ids_.find(request.id);
   if (it == live_ids_.end()) return;
   live_ids_.erase(it);
+  --live_filter_[request.id & (kLiveFilter - 1)];
   switch (status) {
     case CompletionStatus::kOk:
       record(request, now_s, RequestEventKind::kComplete);
@@ -307,42 +277,58 @@ void LifecycleTracer::write_chrome_trace(std::ostream& os) const {
 
 TimelineRecorder::TimelineRecorder(const TimelineConfig& config,
                                    const WorkloadCatalog& catalog)
-    : config_(config), inv_window_s_(1.0 / config.window_s), catalog_(&catalog) {}
+    : config_(config),
+      inv_window_s_(1.0 / config.window_s),
+      catalog_(&catalog),
+      tenants_(catalog.size()) {}
 
-TimelineWindow& TimelineRecorder::window_at(double time_s) {
-  // Truncating cast of a non-negative product == floor; the multiply (vs a
-  // divide) keeps this hook cheap since every counter bump lands here.
-  const std::size_t idx = static_cast<std::size_t>(std::max(0.0, time_s) * inv_window_s_);
-  if (idx < windows_.size()) return windows_[idx];
+double TimelineRecorder::first_time_at(std::size_t idx) const {
+  if (idx == 0) return -std::numeric_limits<double>::infinity();
+  // idx * window_s lands within a few ulps of the boundary; step to the exact
+  // one (index_of is monotone in time).
+  double t = static_cast<double>(idx) * config_.window_s;
+  while (index_of(t) < idx) t = std::nextafter(t, std::numeric_limits<double>::infinity());
+  for (double prev = std::nextafter(t, 0.0); index_of(prev) >= idx;
+       prev = std::nextafter(t, 0.0)) {
+    t = prev;
+  }
+  return t;
+}
+
+TimelineWindow& TimelineRecorder::enter_window(double time_s) {
+  const std::size_t idx = index_of(time_s);
+  // Time moving on to the next window, the usual case, starts it where the
+  // current one ends.
+  const bool next =
+      cur_ != nullptr && static_cast<std::size_t>(cur_ - windows_.data()) + 1 == idx;
   while (windows_.size() <= idx) {
-    TimelineWindow w;
-    if (!windows_.empty()) {
+    TimelineWindow& w = windows_.emplace_back();
+    if (windows_.size() > 1) {
       // Gauges carry forward through quiet windows so plots hold their level
       // instead of dropping to zero between events; counters reset.
-      const TimelineWindow& prev = windows_.back();
+      const TimelineWindow& prev = windows_[windows_.size() - 2];
       w.queue_depth_last = prev.queue_depth_last;
       w.queue_depth_max = prev.queue_depth_last;
       w.active_slots = prev.active_slots;
       w.failed_slots = prev.failed_slots;
     }
-    w.tenant_completed.assign(catalog_->size(), 0);
-    w.tenant_within_slo.assign(catalog_->size(), 0);
-    windows_.push_back(std::move(w));
   }
-  return windows_[idx];
+  tenant_counts_.resize(windows_.size() * 2 * tenants_, 0);
+  cur_ = &windows_[idx];
+  cur_tenants_ = tenant_counts_.data() + idx * 2 * tenants_;
+  cur_begin_s_ = next ? cur_end_s_ : first_time_at(idx);
+  cur_end_s_ = first_time_at(idx + 1);
+  return *cur_;
 }
 
-void TimelineRecorder::on_arrival(const Request&, double now_s) {
-  ++window_at(now_s).arrivals;
+std::span<const std::size_t> TimelineRecorder::tenant_completed(std::size_t i) const {
+  LUMOS_EXPECTS(i < windows_.size());
+  return {tenant_counts_.data() + i * 2 * tenants_, tenants_};
 }
 
-void TimelineRecorder::on_admission(const Request&, double now_s, bool admitted) {
-  if (admitted) ++window_at(now_s).admitted;
-}
-
-void TimelineRecorder::on_dispatch(std::size_t, std::uint64_t, const std::vector<Request>&,
-                                   double now_s, double) {
-  ++window_at(now_s).dispatches;
+std::span<const std::size_t> TimelineRecorder::tenant_within_slo(std::size_t i) const {
+  LUMOS_EXPECTS(i < windows_.size());
+  return {tenant_counts_.data() + (i * 2 + 1) * tenants_, tenants_};
 }
 
 void TimelineRecorder::on_batch_abort(std::size_t, std::uint64_t, double, double abort_s,
@@ -362,27 +348,6 @@ void TimelineRecorder::on_retry(const Request&, double now_s, double) {
   ++window_at(now_s).retries;
 }
 
-void TimelineRecorder::on_complete(const Request& request, double now_s,
-                                   CompletionStatus status, double, bool within_slo) {
-  TimelineWindow& w = window_at(now_s);
-  switch (status) {
-    case CompletionStatus::kOk:
-      ++w.completed;
-      ++w.tenant_completed[request.workload];
-      if (within_slo) {
-        ++w.within_slo;
-        ++w.tenant_within_slo[request.workload];
-      }
-      break;
-    case CompletionStatus::kShed:
-      ++w.shed;
-      break;
-    case CompletionStatus::kTimeout:
-      ++w.timed_out;
-      break;
-  }
-}
-
 void TimelineRecorder::on_slot_failure(std::size_t, double now_s) {
   ++window_at(now_s).slot_failures;
 }
@@ -398,15 +363,6 @@ void TimelineRecorder::on_autoscale(std::size_t, int delta, double now_s) {
   } else if (delta < 0) {
     ++w.autoscale_shrinks;
   }
-}
-
-void TimelineRecorder::on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-                               std::size_t failed_slots) {
-  TimelineWindow& w = window_at(now_s);
-  w.queue_depth_last = queued;
-  w.queue_depth_max = std::max(w.queue_depth_max, queued);
-  w.active_slots = active_slots;
-  w.failed_slots = failed_slots;
 }
 
 void TimelineRecorder::finish(double end_s) {
@@ -442,8 +398,10 @@ void TimelineRecorder::write_csv(std::ostream& os) const {
     std::snprintf(buf, sizeof buf, "%.9g",
                   static_cast<double>(w.within_slo) / config_.window_s);
     os << "," << buf;
-    for (std::size_t t = 0; t < w.tenant_completed.size(); ++t) {
-      os << "," << w.tenant_completed[t] << "," << w.tenant_within_slo[t];
+    const auto completed = tenant_completed(i);
+    const auto within = tenant_within_slo(i);
+    for (std::size_t t = 0; t < tenants_; ++t) {
+      os << "," << completed[t] << "," << within[t];
     }
     os << "\n";
   }
@@ -474,12 +432,14 @@ void TimelineRecorder::write_json(std::ostream& os) const {
        << ", \"queue_depth_max\": " << w.queue_depth_max
        << ", \"active_slots\": " << w.active_slots << ", \"failed_slots\": " << w.failed_slots
        << ", \"tenant_completed\": [";
-    for (std::size_t t = 0; t < w.tenant_completed.size(); ++t) {
-      os << (t == 0 ? "" : ", ") << w.tenant_completed[t];
+    const auto completed = tenant_completed(i);
+    for (std::size_t t = 0; t < tenants_; ++t) {
+      os << (t == 0 ? "" : ", ") << completed[t];
     }
     os << "], \"tenant_within_slo\": [";
-    for (std::size_t t = 0; t < w.tenant_within_slo.size(); ++t) {
-      os << (t == 0 ? "" : ", ") << w.tenant_within_slo[t];
+    const auto within = tenant_within_slo(i);
+    for (std::size_t t = 0; t < tenants_; ++t) {
+      os << (t == 0 ? "" : ", ") << within[t];
     }
     os << "]}";
   }
@@ -501,6 +461,7 @@ const char* loop_source_name(LoopSource source) noexcept {
     case LoopSource::kDispatch: return "dispatch";
     case LoopSource::kSchedulerPop: return "scheduler-pop";
     case LoopSource::kEstimate: return "estimate-cache";
+    case LoopSource::kFinalize: return "finalize";
     case LoopSource::kCount: break;
   }
   return "?";
@@ -535,10 +496,10 @@ Table EventLoopProfiler::to_table(const std::string& title) const {
   Table t(title);
   t.add_row({"source", "events", "wall ms", "ns/event", "share"});
   const double total = accounted_wall_s();
-  const auto row = [&](LoopSource s, bool in_total) {
+  const auto row = [&](LoopSource s, bool in_total, const char* indent = "") {
     const std::uint64_t n = events(s);
     const double w = wall_s(s);
-    t.add_row({std::string(in_total ? "" : "  ") + loop_source_name(s), std::to_string(n),
+    t.add_row({indent + std::string(loop_source_name(s)), std::to_string(n),
                Table::num(w * 1e3, 3),
                Table::num(n > 0 ? w * 1e9 / static_cast<double>(n) : 0.0, 1),
                in_total ? Table::num(total > 0.0 ? w / total : 0.0, 3) : "-"});
@@ -551,13 +512,15 @@ Table EventLoopProfiler::to_table(const std::string& title) const {
   row(LoopSource::kAutoscale, true);
   row(LoopSource::kDispatch, true);
   // Sub-sources of dispatch, indented and excluded from the share column.
-  row(LoopSource::kSchedulerPop, false);
-  row(LoopSource::kEstimate, false);
+  row(LoopSource::kSchedulerPop, false, "  ");
+  row(LoopSource::kEstimate, false, "  ");
   t.add_row({"loop total", std::to_string(iterations_) + " iters",
              Table::num(total * 1e3, 3),
              Table::num(iterations_ > 0 ? total * 1e9 / static_cast<double>(iterations_) : 0.0,
                         1),
              "1.000"});
+  // After the loop, outside its total.
+  row(LoopSource::kFinalize, false);
   return t;
 }
 
@@ -580,70 +543,6 @@ void ObserverHub::add(std::unique_ptr<Observer> observer) {
   LUMOS_EXPECTS(observer != nullptr);
   custom_.push_back(std::move(observer));
 }
-
-// Fan-out order: tracer, timeline, then custom observers.  The built-in calls
-// go through the concrete (final) types, so hooks a built-in does not
-// override cost nothing here.
-#define LUMOS_OBSERVE_FANOUT(call)                  \
-  do {                                              \
-    if (tracer_) tracer_->call;                     \
-    if (timeline_) timeline_->call;                 \
-    for (const auto& o : custom_) o->call;          \
-  } while (0)
-
-void ObserverHub::on_slot_added(std::size_t slot, const std::string& spec, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_slot_added(slot, spec, now_s));
-}
-void ObserverHub::on_arrival(const Request& request, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_arrival(request, now_s));
-}
-void ObserverHub::on_admission(const Request& request, double now_s, bool admitted) {
-  LUMOS_OBSERVE_FANOUT(on_admission(request, now_s, admitted));
-}
-void ObserverHub::on_dispatch(std::size_t slot, std::uint64_t seq,
-                              const std::vector<Request>& batch, double now_s,
-                              double done_s) {
-  LUMOS_OBSERVE_FANOUT(on_dispatch(slot, seq, batch, now_s, done_s));
-}
-void ObserverHub::on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s,
-                                    double end_s, std::size_t size) {
-  LUMOS_OBSERVE_FANOUT(on_batch_complete(slot, seq, start_s, end_s, size));
-}
-void ObserverHub::on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s,
-                                 double abort_s, std::size_t size) {
-  LUMOS_OBSERVE_FANOUT(on_batch_abort(slot, seq, start_s, abort_s, size));
-}
-void ObserverHub::on_requeue(const Request& request, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_requeue(request, now_s));
-}
-void ObserverHub::on_attempt_timeout(const Request& request, double now_s, bool will_retry) {
-  LUMOS_OBSERVE_FANOUT(on_attempt_timeout(request, now_s, will_retry));
-}
-void ObserverHub::on_retry(const Request& request, double now_s, double reissue_s) {
-  LUMOS_OBSERVE_FANOUT(on_retry(request, now_s, reissue_s));
-}
-void ObserverHub::on_complete(const Request& request, double now_s, CompletionStatus status,
-                              double latency_s, bool within_slo) {
-  LUMOS_OBSERVE_FANOUT(on_complete(request, now_s, status, latency_s, within_slo));
-}
-void ObserverHub::on_slot_failure(std::size_t slot, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_slot_failure(slot, now_s));
-}
-void ObserverHub::on_slot_recovery(std::size_t slot, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_slot_recovery(slot, now_s));
-}
-void ObserverHub::on_autoscale(std::size_t family, int delta, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_autoscale(family, delta, now_s));
-}
-void ObserverHub::on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-                          std::size_t failed_slots) {
-  LUMOS_OBSERVE_FANOUT(on_tick(now_s, queued, active_slots, failed_slots));
-}
-void ObserverHub::finish(double end_s) {
-  LUMOS_OBSERVE_FANOUT(finish(end_s));
-}
-
-#undef LUMOS_OBSERVE_FANOUT
 
 Observation ObserverHub::take() {
   Observation out;

@@ -37,11 +37,14 @@
 // --trace-out / --timeline-out / --profile).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -208,9 +211,22 @@ struct BatchSpan {
   bool aborted = false;
 };
 
-// Deterministic id-hash request sampler (SplitMix64 over id ^ salt).  Exposed
-// so tests and future observers can reuse the exact sampling decision.
-[[nodiscard]] bool trace_sampled(std::uint64_t id, std::uint64_t seed, double sample);
+// Deterministic id-hash request sampler (SplitMix64 over id ^ salt): a pure
+// function of (id, seed), independent of event interleaving, fleet shape and
+// LUMOS_THREADS.  Exposed so tests and future observers can reuse the exact
+// sampling decision.  Inline: the tracer asks it for every request it sees.
+[[nodiscard]] inline bool trace_sampled(std::uint64_t id, std::uint64_t seed,
+                                        double sample) noexcept {
+  if (sample >= 1.0) return true;
+  if (sample <= 0.0) return false;
+  std::uint64_t x = (id ^ seed) + 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  x ^= x >> 31;
+  // Threshold compare in the hash's own 64-bit space: scaling by 2^-64 is
+  // exact, so only the uint64 -> double conversion rounds.
+  return static_cast<double>(x) * 0x1p-64 < sample;
+}
 
 class LifecycleTracer final : public Observer {
  public:
@@ -218,18 +234,22 @@ class LifecycleTracer final : public Observer {
   LifecycleTracer(const TracerConfig& config, const WorkloadCatalog& catalog);
 
   void on_slot_added(std::size_t slot, const std::string& spec, double now_s) override;
-  void on_arrival(const Request& request, double now_s) override;
+  // The per-request hooks leave the unsampled majority after one id hash
+  // (arrival) or one live-filter load (every later event).
+  void on_arrival(const Request& request, double now_s) override {
+    if (sampled(request.id)) begin_request(request, now_s);
+  }
   void on_dispatch(std::size_t slot, std::uint64_t seq, const std::vector<Request>& batch,
                    double now_s, double done_s) override;
-  void on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s, double end_s,
-                         std::size_t size) override;
   void on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s, double abort_s,
                       std::size_t size) override;
   void on_requeue(const Request& request, double now_s) override;
   void on_attempt_timeout(const Request& request, double now_s, bool will_retry) override;
   void on_retry(const Request& request, double now_s, double reissue_s) override;
   void on_complete(const Request& request, double now_s, CompletionStatus status,
-                   double latency_s, bool within_slo) override;
+                   double, bool) override {
+    if (maybe_live(request.id)) end_request(request, now_s, status);
+  }
 
   // Recorded request events, in event-loop (chronological) order.
   [[nodiscard]] const std::vector<RequestEvent>& request_events() const noexcept {
@@ -257,7 +277,20 @@ class LifecycleTracer final : public Observer {
 
   void record(const Request& request, double time_s, RequestEventKind kind,
               std::int32_t slot = -1);
-  [[nodiscard]] bool sampled(std::uint64_t id) const noexcept;
+  [[nodiscard]] bool sampled(std::uint64_t id) const noexcept {
+    return trace_sampled(id, config_.seed, config_.sample);
+  }
+  // `begin_request` admits a sampled request into the buffer (or counts it
+  // dropped); `end_request` records the terminal event of a live one.
+  void begin_request(const Request& request, double now_s);
+  void end_request(const Request& request, double now_s, CompletionStatus status);
+  // False proves `id` is not live without hashing it; true means look it up.
+  [[nodiscard]] bool maybe_live(std::uint64_t id) const noexcept {
+    return live_filter_[id & (kLiveFilter - 1)] != 0;
+  }
+  [[nodiscard]] bool live(const Request& request) const {
+    return maybe_live(request.id) && live_ids_.count(request.id) != 0;
+  }
 
   TracerConfig config_;
   const WorkloadCatalog* catalog_;
@@ -265,12 +298,18 @@ class LifecycleTracer final : public Observer {
   std::vector<RequestEvent> events_;
   std::vector<BatchSpan> spans_;  // ring buffer once max_batch_spans is hit
   std::size_t span_next_ = 0;     // ring write cursor
-  // Per-slot index into `spans_` of the slot's in-flight batch (kNoSpan when
-  // idle): lets a failure cut the right span short.
+  // Per-slot index into `spans_` of the slot's latest batch (kNoSpan before
+  // the first): lets a failure cut the right span short.  A completed batch
+  // needs no hook; its span no longer matches the aborted batch's seq.
   std::vector<std::size_t> slot_open_span_;
   // Sampled requests still in flight; keeps saturation from truncating a
   // request's span mid-lifecycle.
   std::unordered_set<std::uint64_t> live_ids_;
+  // How many live ids share each value of their low bits.  Request ids are
+  // dense and few sampled ones are in flight at once, so almost every
+  // request's entry is zero and its events skip the set.
+  static constexpr std::size_t kLiveFilter = 1024;
+  std::array<std::uint32_t, kLiveFilter> live_filter_{};
   std::size_t sampled_requests_ = 0;
   std::size_t dropped_requests_ = 0;
   std::size_t dropped_spans_ = 0;
@@ -283,7 +322,8 @@ class LifecycleTracer final : public Observer {
 
 // Counters and gauges of one fixed window of simulated time.  Counters are
 // events inside the window; gauges are the last (and max, for queue depth)
-// `on_tick` snapshot inside it.
+// `on_tick` snapshot inside it.  Per-tenant counts are kept by the recorder
+// (`TimelineRecorder::tenant_completed`), so a window owns no heap memory.
 struct TimelineWindow {
   std::size_t arrivals = 0;
   std::size_t admitted = 0;
@@ -304,38 +344,72 @@ struct TimelineWindow {
   std::size_t queue_depth_max = 0;
   std::size_t active_slots = 0;
   std::size_t failed_slots = 0;
-  // Per catalog entry: completions and within-SLO completions in the window.
-  std::vector<std::size_t> tenant_completed;
-  std::vector<std::size_t> tenant_within_slo;
 };
 
 class TimelineRecorder final : public Observer {
  public:
   // `catalog` must outlive the recorder (tenant names in the export).
   TimelineRecorder(const TimelineConfig& config, const WorkloadCatalog& catalog);
+  // Not copyable: the current-window pointer points into its own windows.
+  TimelineRecorder(const TimelineRecorder&) = delete;
+  TimelineRecorder& operator=(const TimelineRecorder&) = delete;
 
-  void on_arrival(const Request& request, double now_s) override;
-  void on_admission(const Request& request, double now_s, bool admitted) override;
-  void on_dispatch(std::size_t slot, std::uint64_t seq, const std::vector<Request>& batch,
-                   double now_s, double done_s) override;
+  // The per-request and per-iteration hooks are inline counter bumps.
+  void on_arrival(const Request&, double now_s) override { ++window_at(now_s).arrivals; }
+  void on_admission(const Request&, double now_s, bool admitted) override {
+    if (admitted) ++window_at(now_s).admitted;
+  }
+  void on_dispatch(std::size_t, std::uint64_t, const std::vector<Request>&, double now_s,
+                   double) override {
+    ++window_at(now_s).dispatches;
+  }
   void on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s, double abort_s,
                       std::size_t size) override;
   void on_requeue(const Request& request, double now_s) override;
   void on_attempt_timeout(const Request& request, double now_s, bool will_retry) override;
   void on_retry(const Request& request, double now_s, double reissue_s) override;
-  void on_complete(const Request& request, double now_s, CompletionStatus status,
-                   double latency_s, bool within_slo) override;
+  void on_complete(const Request& request, double now_s, CompletionStatus status, double,
+                   bool within_slo) override {
+    TimelineWindow& w = window_at(now_s);
+    switch (status) {
+      case CompletionStatus::kOk:
+        // window_at made `w` current, so cur_tenants_ is its row.
+        ++w.completed;
+        ++cur_tenants_[request.workload];
+        if (within_slo) {
+          ++w.within_slo;
+          ++cur_tenants_[tenants_ + request.workload];
+        }
+        break;
+      case CompletionStatus::kShed:
+        ++w.shed;
+        break;
+      case CompletionStatus::kTimeout:
+        ++w.timed_out;
+        break;
+    }
+  }
   void on_slot_failure(std::size_t slot, double now_s) override;
   void on_slot_recovery(std::size_t slot, double now_s) override;
   void on_autoscale(std::size_t family, int delta, double now_s) override;
   void on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-               std::size_t failed_slots) override;
+               std::size_t failed_slots) override {
+    TimelineWindow& w = window_at(now_s);
+    w.queue_depth_last = queued;
+    w.queue_depth_max = std::max(w.queue_depth_max, queued);
+    w.active_slots = active_slots;
+    w.failed_slots = failed_slots;
+  }
   void finish(double end_s) override;
 
   [[nodiscard]] double window_s() const noexcept { return config_.window_s; }
   [[nodiscard]] const std::vector<TimelineWindow>& windows() const noexcept {
     return windows_;
   }
+  // Per catalog entry: completions and within-SLO completions in window `i`.
+  // The views are valid until the recorder next records an event.
+  [[nodiscard]] std::span<const std::size_t> tenant_completed(std::size_t i) const;
+  [[nodiscard]] std::span<const std::size_t> tenant_within_slo(std::size_t i) const;
 
   // One CSV row per window: t_start_s, counters, gauges, derived
   // throughput/goodput QPS, then per-tenant `<name>_completed` /
@@ -346,12 +420,37 @@ class TimelineRecorder final : public Observer {
   void write_json(std::ostream& os) const;
 
  private:
-  [[nodiscard]] TimelineWindow& window_at(double time_s);
+  // The window holding `time_s`.  Every counter bump lands here, and events
+  // arrive in time order, so the fast path is two compares against the
+  // current window's exact time range.
+  [[nodiscard]] TimelineWindow& window_at(double time_s) {
+    if (time_s >= cur_begin_s_ && time_s < cur_end_s_) [[likely]] return *cur_;
+    return enter_window(time_s);
+  }
+  // Index of the window holding `time_s`: truncating cast of a non-negative
+  // product == floor.  The one definition of the window grid.
+  [[nodiscard]] std::size_t index_of(double time_s) const noexcept {
+    return static_cast<std::size_t>(std::max(0.0, time_s) * inv_window_s_);
+  }
+  // The smallest time `index_of` maps to `idx` or later.
+  [[nodiscard]] double first_time_at(std::size_t idx) const;
+  // Makes `time_s`'s window current, appending windows up to it.
+  [[nodiscard]] TimelineWindow& enter_window(double time_s);
 
   TimelineConfig config_;
-  double inv_window_s_ = 0.0;  // 1 / window_s: multiply beats divide per event
+  double inv_window_s_ = 0.0;  // 1 / window_s: multiply beats divide
   const WorkloadCatalog* catalog_;
+  std::size_t tenants_;  // catalog size
   std::vector<TimelineWindow> windows_;
+  // One row of 2 * tenants_ counts per window: completions, then within-SLO
+  // completions, per catalog entry.
+  std::vector<std::size_t> tenant_counts_;
+  // The current window, its tenant row and the times [cur_begin_s_,
+  // cur_end_s_) it holds; empty until the first event.
+  TimelineWindow* cur_ = nullptr;
+  std::size_t* cur_tenants_ = nullptr;
+  double cur_begin_s_ = 0.0;
+  double cur_end_s_ = 0.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -362,7 +461,9 @@ class TimelineRecorder final : public Observer {
 // iteration, so the top-level sources add up to the whole loop.  kDispatch is
 // inclusive of its two sub-sources (kSchedulerPop, kEstimate), reported
 // separately so "the scheduler is the bottleneck" and "the estimate cache is
-// the bottleneck" are directly readable.
+// the bottleneck" are directly readable.  kFinalize times the percentile and
+// rate finalisation simulate() runs once the loop has ended; it is reported
+// below the loop total, not inside it.
 enum class LoopSource : std::uint8_t {
   kLoopHead = 0,     // next-event selection, deadline query, depth integral
   kCompletions,      // completion-heap drain
@@ -373,6 +474,7 @@ enum class LoopSource : std::uint8_t {
   kDispatch,         // batch formation + routing (inclusive), one event per call
   kSchedulerPop,     // scheduler ready/pop inside dispatch, one event per query
   kEstimate,         // estimate-cache lookups inside dispatch
+  kFinalize,         // metrics finalisation after the loop, one event per run
   kCount,
 };
 
@@ -420,7 +522,9 @@ struct Observation {
 
 // Owns the configured observers of one simulation and fans every hook out to
 // them.  The simulator holds a null hub for unobserved runs, so the disabled
-// path is one branch per hook site.
+// path is one branch per hook site.  The hooks are defined here so that the
+// simulator's observed loop can inline each fan-out together with the
+// built-in observers' per-request hooks.
 class ObserverHub {
  public:
   // Validates `config`; `catalog` must outlive the hub.
@@ -431,34 +535,72 @@ class ObserverHub {
 
   [[nodiscard]] EventLoopProfiler* profiler() noexcept { return profiler_.get(); }
 
-  void on_slot_added(std::size_t slot, const std::string& spec, double now_s);
-  void on_arrival(const Request& request, double now_s);
-  void on_admission(const Request& request, double now_s, bool admitted);
+  void on_slot_added(std::size_t slot, const std::string& spec, double now_s) {
+    fan_out([&](auto& o) { o.on_slot_added(slot, spec, now_s); });
+  }
+  void on_arrival(const Request& request, double now_s) {
+    fan_out([&](auto& o) { o.on_arrival(request, now_s); });
+  }
+  void on_admission(const Request& request, double now_s, bool admitted) {
+    fan_out([&](auto& o) { o.on_admission(request, now_s, admitted); });
+  }
   void on_dispatch(std::size_t slot, std::uint64_t seq, const std::vector<Request>& batch,
-                   double now_s, double done_s);
+                   double now_s, double done_s) {
+    fan_out([&](auto& o) { o.on_dispatch(slot, seq, batch, now_s, done_s); });
+  }
   void on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s, double end_s,
-                         std::size_t size);
+                         std::size_t size) {
+    fan_out([&](auto& o) { o.on_batch_complete(slot, seq, start_s, end_s, size); });
+  }
   void on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s, double abort_s,
-                      std::size_t size);
-  void on_requeue(const Request& request, double now_s);
-  void on_attempt_timeout(const Request& request, double now_s, bool will_retry);
-  void on_retry(const Request& request, double now_s, double reissue_s);
+                      std::size_t size) {
+    fan_out([&](auto& o) { o.on_batch_abort(slot, seq, start_s, abort_s, size); });
+  }
+  void on_requeue(const Request& request, double now_s) {
+    fan_out([&](auto& o) { o.on_requeue(request, now_s); });
+  }
+  void on_attempt_timeout(const Request& request, double now_s, bool will_retry) {
+    fan_out([&](auto& o) { o.on_attempt_timeout(request, now_s, will_retry); });
+  }
+  void on_retry(const Request& request, double now_s, double reissue_s) {
+    fan_out([&](auto& o) { o.on_retry(request, now_s, reissue_s); });
+  }
   void on_complete(const Request& request, double now_s, CompletionStatus status,
-                   double latency_s, bool within_slo);
-  void on_slot_failure(std::size_t slot, double now_s);
-  void on_slot_recovery(std::size_t slot, double now_s);
-  void on_autoscale(std::size_t family, int delta, double now_s);
+                   double latency_s, bool within_slo) {
+    fan_out([&](auto& o) { o.on_complete(request, now_s, status, latency_s, within_slo); });
+  }
+  void on_slot_failure(std::size_t slot, double now_s) {
+    fan_out([&](auto& o) { o.on_slot_failure(slot, now_s); });
+  }
+  void on_slot_recovery(std::size_t slot, double now_s) {
+    fan_out([&](auto& o) { o.on_slot_recovery(slot, now_s); });
+  }
+  void on_autoscale(std::size_t family, int delta, double now_s) {
+    fan_out([&](auto& o) { o.on_autoscale(family, delta, now_s); });
+  }
   void on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-               std::size_t failed_slots);
-  void finish(double end_s);
+               std::size_t failed_slots) {
+    fan_out([&](auto& o) { o.on_tick(now_s, queued, active_slots, failed_slots); });
+  }
+  void finish(double end_s) {
+    fan_out([&](auto& o) { o.finish(end_s); });
+  }
 
   // Releases the owned observers (call after `finish`).
   [[nodiscard]] Observation take();
 
  private:
-  // The built-in observers are held by concrete (final) type and called
-  // directly, so their hooks devirtualise and unoverridden no-ops inline away
-  // — the fan-out loop only runs for registered custom observers.
+  // Fan-out order: tracer, timeline, then custom observers.  The built-in
+  // observers are held by concrete (final) type and called directly, so their
+  // hooks devirtualise and unoverridden no-ops inline away — the loop only
+  // runs for registered custom observers.
+  template <typename Call>
+  void fan_out(const Call& call) {
+    if (tracer_) call(*tracer_);
+    if (timeline_) call(*timeline_);
+    for (const auto& o : custom_) call(*o);
+  }
+
   std::unique_ptr<LifecycleTracer> tracer_;
   std::unique_ptr<TimelineRecorder> timeline_;
   std::unique_ptr<EventLoopProfiler> profiler_;

@@ -1292,18 +1292,24 @@ FleetMetrics simulate(const Scenario& scenario, Observation* observation) {
   // hook sites do not exist in the compiled loop at all.
   FleetMetrics m = scenario.observe.enabled() ? simulate_impl<true>(scenario, observation)
                                               : simulate_impl<false>(scenario, observation);
+  // Finalisation is a layer of its own in the profile: one event per run.
+  EventLoopProfiler* const prof =
+      scenario.observe.profile && observation != nullptr ? observation->profiler.get() : nullptr;
+  const auto t_finalize =
+      prof ? EventLoopProfiler::Clock::now() : EventLoopProfiler::Clock::time_point{};
   if (!scenario.sim.keep_latency_state) {
     m.finalize();
     m.latency_state.reset();
-    return m;
+  } else {
+    // finalize() sorts the session samples, but a retained state hands them
+    // on in the order the sessions finished: merge() sums the union in the
+    // order it finds it, and sorted cell samples would move a merged
+    // mean_session_s in its last bits.
+    std::vector<double> finish_order = m.latency_state->session_samples;
+    m.finalize();
+    m.latency_state->session_samples = std::move(finish_order);
   }
-  // finalize() sorts every sample vector it reads, but a retained state hands
-  // its session samples on in the order the sessions finished: merge() sums
-  // the union in the order it finds it, and sorted cell samples would move a
-  // merged mean_session_s in its last bits.
-  std::vector<double> finish_order = m.latency_state->session_samples;
-  m.finalize();
-  m.latency_state->session_samples = std::move(finish_order);
+  if (prof) prof->record(LoopSource::kFinalize, t_finalize, 1);
   return m;
 }
 

@@ -1,8 +1,8 @@
 // Tests for the observability layer: the observers-never-change-results
 // contract (disabled AND enabled runs are bit-identical to the unobserved
 // simulator), span/counter conservation between the lifecycle tracer and
-// FleetMetrics under faults + retries + admission, timeline window sums,
-// event-loop profiler counts, deterministic id-hash sampling, the
+// FleetMetrics under faults + retries + admission, timeline window sums and
+// boundaries, event-loop profiler counts, deterministic id-hash sampling, the
 // HdrHistogram percentile sketch (bounded relative error vs the exact path,
 // insertion-order independence, merging), the hdr percentile mode of the
 // simulator/campaign, and the FleetMetrics::to_table section gates.
@@ -268,8 +268,10 @@ TEST(Observe, TimelineWindowSumsMatchTotals) {
   ASSERT_GT(timeline.windows().size(), 1u);
 
   TimelineWindow total;
-  total.tenant_completed.resize(scenario.catalog.size(), 0);
-  for (const TimelineWindow& w : timeline.windows()) {
+  std::vector<std::size_t> tenant_completed(scenario.catalog.size(), 0);
+  std::vector<std::size_t> tenant_within_slo(scenario.catalog.size(), 0);
+  for (std::size_t i = 0; i < timeline.windows().size(); ++i) {
+    const TimelineWindow& w = timeline.windows()[i];
     total.arrivals += w.arrivals;
     total.shed += w.shed;
     total.completed += w.completed;
@@ -282,9 +284,11 @@ TEST(Observe, TimelineWindowSumsMatchTotals) {
     total.batch_aborts += w.batch_aborts;
     total.slot_failures += w.slot_failures;
     total.slot_recoveries += w.slot_recoveries;
-    ASSERT_EQ(w.tenant_completed.size(), total.tenant_completed.size());
-    for (std::size_t t = 0; t < w.tenant_completed.size(); ++t) {
-      total.tenant_completed[t] += w.tenant_completed[t];
+    ASSERT_EQ(timeline.tenant_completed(i).size(), tenant_completed.size());
+    ASSERT_EQ(timeline.tenant_within_slo(i).size(), tenant_within_slo.size());
+    for (std::size_t t = 0; t < tenant_completed.size(); ++t) {
+      tenant_completed[t] += timeline.tenant_completed(i)[t];
+      tenant_within_slo[t] += timeline.tenant_within_slo(i)[t];
     }
   }
   EXPECT_EQ(total.arrivals, scenario.traffic.open.request_count);
@@ -298,8 +302,9 @@ TEST(Observe, TimelineWindowSumsMatchTotals) {
   EXPECT_EQ(total.batch_aborts, m.failed_batches);
   EXPECT_EQ(total.slot_failures, m.slot_failures);
   EXPECT_EQ(total.slot_recoveries, m.slot_recoveries);
-  for (std::size_t t = 0; t < total.tenant_completed.size(); ++t) {
-    EXPECT_EQ(total.tenant_completed[t], m.tenants[t].completed);
+  for (std::size_t t = 0; t < tenant_completed.size(); ++t) {
+    EXPECT_EQ(tenant_completed[t], m.tenants[t].completed);
+    EXPECT_EQ(tenant_within_slo[t], m.tenants[t].within_slo);
   }
 
   // CSV export: one header plus one row per window, with per-tenant columns.
@@ -317,6 +322,49 @@ TEST(Observe, TimelineWindowSumsMatchTotals) {
   timeline.write_json(json);
   EXPECT_NE(json.str().find("\"window_s\""), std::string::npos);
   EXPECT_NE(json.str().find("\"windows\""), std::string::npos);
+}
+
+// Window i holds exactly the times t with floor(t / window_s) == i, computed
+// as the truncated product t * (1 / window_s) — at every boundary, for any
+// window width, and for events that arrive out of time order.
+TEST(Observe, TimelineWindowBoundariesFollowTheGrid) {
+  const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
+  for (const double window_s : {1e-3, 3e-4, 7e-6, 0.1}) {
+    std::vector<double> times = {-1.0, 0.0};
+    for (int k = 1; k <= 300; ++k) {
+      const double edge = k * window_s;
+      times.push_back(std::nextafter(edge, 0.0));
+      times.push_back(edge);
+      times.push_back(std::nextafter(edge, 1.0));
+      times.push_back((k + 0.5) * window_s);
+    }
+    for (const bool shuffled : {false, true}) {
+      std::vector<double> order = times;
+      if (shuffled) {
+        Rng rng(5);
+        for (std::size_t i = order.size() - 1; i > 0; --i) {
+          std::swap(order[i], order[rng.next_u64() % (i + 1)]);
+        }
+      }
+      TimelineConfig config;
+      config.enabled = true;
+      config.window_s = window_s;
+      TimelineRecorder timeline(config, catalog);
+      std::vector<std::size_t> expected;
+      const double inv = 1.0 / window_s;
+      for (const double t : order) {
+        timeline.on_arrival(Request{}, t);
+        const auto idx = static_cast<std::size_t>(std::max(0.0, t) * inv);
+        if (expected.size() <= idx) expected.resize(idx + 1, 0);
+        ++expected[idx];
+      }
+      ASSERT_EQ(timeline.windows().size(), expected.size()) << window_s;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(timeline.windows()[i].arrivals, expected[i])
+            << "window " << i << " of " << window_s << (shuffled ? " (shuffled)" : "");
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -346,12 +394,16 @@ TEST(Observe, ProfilerEventCountsMatchTheRun) {
   EXPECT_EQ(prof.events(LoopSource::kLoopHead), prof.iterations());
   EXPECT_GE(prof.iterations(), scenario.traffic.open.request_count);
   EXPECT_GE(prof.accounted_wall_s(), 0.0);
+  // Finalisation runs once, after the loop.
+  EXPECT_EQ(prof.events(LoopSource::kFinalize), 1u);
+  EXPECT_GT(prof.wall_s(LoopSource::kFinalize), 0.0);
 
   std::ostringstream table;
   prof.to_table("event-loop profile").print(table);
   EXPECT_NE(table.str().find("scheduler-pop"), std::string::npos);
   EXPECT_NE(table.str().find("loop-head"), std::string::npos);
   EXPECT_NE(table.str().find("loop total"), std::string::npos);
+  EXPECT_NE(table.str().find("finalize"), std::string::npos);
 
   // Without timeouts every ready() that holds dispatches a batch, so the
   // pops beyond `dispatches` are the queries that found none — a half-loaded

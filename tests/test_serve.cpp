@@ -575,6 +575,42 @@ TEST(Percentile, NearestRankOnKnownSamples) {
   EXPECT_EQ(percentile(empty, 0.99), 0.0);
 }
 
+// The finaliser's exact path: a selection cascade must return what
+// sort-then-percentile() returns, bit for bit, at every rank boundary —
+// sizes 0-3 and 999-1001, continuous values, heavy duplicates, all equal —
+// and only permute its input.
+TEST(Percentile, SelectionMatchesSortOnSeededVectors) {
+  const std::vector<double> qs{0.0, 0.5, 0.95, 0.99, 0.999, 1.0};
+  Rng rng(2024);
+  for (const std::size_t n : {0, 1, 2, 3, 999, 1000, 1001}) {
+    for (int shape = 0; shape < 3; ++shape) {
+      std::vector<double> v(n);
+      for (double& x : v) {
+        switch (shape) {
+          case 0: x = rng.exponential(1e-3); break;                       // continuous
+          case 1: x = 1e-4 * (1.0 + static_cast<double>(rng.next_below(5))); break;
+          default: x = 2.5e-4; break;                                      // all equal
+        }
+      }
+      std::vector<double> selected = v;
+      std::vector<double> out(qs.size(), -1.0);
+      select_percentiles(selected, qs, out);
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        std::vector<double> sorted = v;
+        EXPECT_EQ(out[i], percentile(sorted, qs[i]))
+            << "n=" << n << " shape=" << shape << " q=" << qs[i];
+      }
+      std::sort(selected.begin(), selected.end());
+      std::sort(v.begin(), v.end());
+      EXPECT_EQ(selected, v) << "n=" << n << " shape=" << shape;
+    }
+  }
+  std::vector<double> any{1.0, 2.0};
+  std::vector<double> out(2);
+  const std::vector<double> descending{0.99, 0.5};
+  EXPECT_THROW(select_percentiles(any, descending, out), InvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Simulator
 // ---------------------------------------------------------------------------

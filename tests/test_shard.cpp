@@ -7,13 +7,15 @@
 //     plan's cells — independent of LUMOS_THREADS (CI runs 1 and 4);
 //   * FleetMetrics::merge is pairwise commutative, needs retained latency
 //     state on both sides, and its sample statistics are exact over the
-//     union multiset;
+//     union multiset, whatever order the tenants' latency samples are in;
 //   * keep_latency_state changes nothing but whether the state is returned;
 //   * RequestArena never hands out a buffer that is still live.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <random>
 #include <vector>
 
 #include "common/error.hpp"
@@ -467,6 +469,43 @@ TEST(MetricsMerge, DecodeAndSessionStatsMatchUnion) {
   EXPECT_EQ(merged.generated_tokens, a.generated_tokens + b.generated_tokens);
   EXPECT_EQ(merged.tokens_per_s,
             static_cast<double>(merged.generated_tokens) / merged.duration_s);
+}
+
+// Nothing reads the order of a retained state's latency vectors: shuffling
+// every tenant's samples on both sides of a merge (and on the merged state
+// before a second one) leaves every merged field bit-identical.
+TEST(MetricsMerge, TenantSampleOrderIsNeverRead) {
+  Scenario sa = faulted_scenario(4, 6000);
+  sa.sim.keep_latency_state = true;
+  Scenario sb = sa;
+  sb.traffic.open.seed = 31;
+  Scenario sc = sa;
+  sc.traffic.open.seed = 57;
+  const FleetMetrics a = simulate(sa);
+  const FleetMetrics b = simulate(sb);
+  const FleetMetrics c = simulate(sc);
+  ASSERT_GT(a.tenants.size(), 1u);
+
+  std::mt19937_64 gen(8);
+  const auto shuffled = [&](const FleetMetrics& m) {
+    FleetMetrics out = m;
+    out.latency_state = std::make_shared<LatencyState>(*m.latency_state);
+    for (std::vector<double>& samples : out.latency_state->tenant_samples) {
+      std::shuffle(samples.begin(), samples.end(), gen);
+    }
+    return out;
+  };
+
+  FleetMetrics in_order = a;
+  in_order.merge(b);
+  FleetMetrics reordered = shuffled(a);
+  reordered.merge(shuffled(b));
+  expect_all_bit_identical(in_order, reordered);
+
+  in_order.merge(c);
+  reordered = shuffled(reordered);
+  reordered.merge(shuffled(c));
+  expect_all_bit_identical(in_order, reordered);
 }
 
 // keep_latency_state decides only whether the run's state is handed back:

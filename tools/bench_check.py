@@ -20,8 +20,10 @@ The serve observer_overhead section gets two extra gates: the observed run's
 p99/goodput must match the unobserved run within --det-tol (observers must
 never change results), and the relative wall-clock overhead of observing must
 stay under --overhead-tol (default 0.35; the denominator is the *unobserved*
-loop, which the `if constexpr` observer-free instantiation made faster — the
-same absolute observer cost now reads as a larger fraction).
+run, which the `if constexpr` observer-free instantiation made faster — the
+same absolute observer cost now reads as a larger fraction).  bench_serve
+reports it as the median of per-pair on/off ratios over interleaved pairs,
+so one noisy run cannot move it.
 
 The "provenance" object (compiler, build type, schema version, threads) is
 context for humans, never gated: baselines produced by a different toolchain
